@@ -19,7 +19,7 @@ from pathlib import Path
 
 from repro.farm.coordinator import SHARD_SPEC_FILENAME
 from repro.farm.spec import KEY_SCHEMA
-from repro.farm.store import STORE_SCHEMA, FarmRecord
+from repro.farm.store import STORE_SCHEMA, ResultStore
 
 
 @dataclass(frozen=True)
@@ -171,20 +171,12 @@ def audit_fingerprints(root: str | Path) -> FingerprintAudit:
     against the current tree's.  Read-only, like everything here."""
     from repro.statics.fingerprint import model_fingerprint
     current = model_fingerprint()
-    root = Path(root)
-    path = root / "results.jsonl"
-    live: dict[str, str | None] = {}
-    exists = path.is_file()
-    if exists:
-        for line in path.read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            record = FarmRecord.from_json(line)
-            if record is not None:
-                live[record.key] = record.model_fingerprint
+    path = Path(root) / ResultStore.filename
+    found = ResultStore.scan(path)
     matching = missing = 0
     drifted: dict[str, int] = {}
-    for fingerprint in live.values():
+    for record in found.records.values():
+        fingerprint = record.model_fingerprint
         if fingerprint is None:
             missing += 1
         elif fingerprint == current:
@@ -192,46 +184,10 @@ def audit_fingerprints(root: str | Path) -> FingerprintAudit:
         else:
             drifted[fingerprint] = drifted.get(fingerprint, 0) + 1
     return FingerprintAudit(
-        path=str(path), exists=exists, current=current,
-        live_records=len(live), matching=matching,
+        path=str(path), exists=found.exists, current=current,
+        live_records=len(found.records), matching=matching,
         drifted=sum(drifted.values()), missing=missing,
         drifted_fingerprints=drifted)
-
-
-def _diagnose_lines(path: Path) -> tuple[int, int, int, int, int,
-                                         dict[int, int]]:
-    """Single pass over the JSONL: (total, live, superseded, corrupt,
-    foreign, per-schema counts)."""
-    total = corrupt = foreign = current = 0
-    schema_counts: dict[int, int] = {}
-    live: dict[str, None] = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        total += 1
-        try:
-            data = json.loads(line)
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            corrupt += 1
-            continue
-        schema = data.get("schema") if isinstance(data, dict) else None
-        if not isinstance(schema, int) or isinstance(schema, bool):
-            corrupt += 1
-            continue
-        if schema != STORE_SCHEMA:
-            # record from another code version: counted per schema but
-            # never validated against today's field list
-            schema_counts[schema] = schema_counts.get(schema, 0) + 1
-            foreign += 1
-            continue
-        if FarmRecord.from_dict(data) is None:
-            corrupt += 1
-            continue
-        schema_counts[schema] = schema_counts.get(schema, 0) + 1
-        current += 1
-        live[data["key"]] = None
-    superseded = current - len(live)
-    return total, len(live), superseded, corrupt, foreign, schema_counts
 
 
 def _scan_shard_dir(shard_dir: Path) -> ShardLeftover:
@@ -248,12 +204,7 @@ def _scan_shard_dir(shard_dir: Path) -> ShardLeftover:
                 spec_schema = schema
             jobs = spec.get("jobs")
             spec_jobs = len(jobs) if isinstance(jobs, list) else None
-    records = 0
-    store_file = shard_dir / "results.jsonl"
-    if store_file.is_file():
-        for line in store_file.read_text(encoding="utf-8").splitlines():
-            if line.strip() and FarmRecord.from_json(line) is not None:
-                records += 1
+    records = ResultStore.scan(shard_dir / ResultStore.filename).valid
     return ShardLeftover(path=str(shard_dir), records=records,
                          spec_key_schema=spec_schema,
                          spec_jobs=spec_jobs)
@@ -267,15 +218,8 @@ def diagnose_store(root: str | Path,
     :class:`~repro.farm.coordinator.FarmCoordinator` writes to.
     """
     root = Path(root)
-    path = root / "results.jsonl"
-    if path.is_file():
-        (total, live, superseded, corrupt, foreign,
-         schema_counts) = _diagnose_lines(path)
-        exists = True
-    else:
-        total = live = superseded = corrupt = foreign = 0
-        schema_counts = {}
-        exists = False
+    path = root / ResultStore.filename
+    found = ResultStore.scan(path)
     shards_dir = Path(shard_root) if shard_root is not None \
         else root / "shards"
     leftovers = []
@@ -284,7 +228,7 @@ def diagnose_store(root: str | Path,
             if shard_dir.is_dir():
                 leftovers.append(_scan_shard_dir(shard_dir))
     return StoreDiagnosis(
-        path=str(path), exists=exists, total_lines=total,
-        live_records=live, superseded=superseded, corrupt=corrupt,
-        foreign_schema=foreign, schema_counts=schema_counts,
-        shard_leftovers=tuple(leftovers))
+        path=str(path), exists=found.exists, total_lines=found.total,
+        live_records=len(found.records), superseded=found.superseded,
+        corrupt=found.corrupt, foreign_schema=found.foreign,
+        schema_counts=found.schemas, shard_leftovers=tuple(leftovers))

@@ -6,34 +6,27 @@ job, keyed by the job's content address.  Re-running a matrix loads the
 file, serves every already-measured key from disk, and only simulates
 the rest — resumability is just "the key is already in the file".
 
-Robustness rules:
-
-* a truncated/corrupt line (killed process mid-append) is skipped, not
-  fatal;
-* records written by a different :data:`STORE_SCHEMA` are ignored (they
-  no longer describe what the farm measures);
-* duplicate keys resolve to the *last* record (a ``--force`` re-measure
-  simply appends and wins).
+The file follows the append-only log discipline of :mod:`repro.jsonlog`,
+with :data:`STORE_SCHEMA` as its schema: a ``--force`` re-measure simply
+appends and wins.
 
 The JSONL layout is also the distributed farm's merge format:
 concatenating two stores *is* a last-record-wins merge, and
 :meth:`ResultStore.merge_from` performs exactly that (treating the
 source as the newer writer) when a shard store comes back from a
-worker.  Store rewrites (``compact``/``merge_from``) go through a
-temp-file-plus-:func:`os.replace` so a crash mid-rewrite leaves the old
-file intact instead of a half-written one.
+worker.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import tempfile
-import threading
 from dataclasses import asdict, dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 
-#: Record layout version; see module docstring for the mismatch rule.
+from repro.jsonlog import AppendLog
+
+#: Record layout version; see repro.jsonlog for the mismatch rule.
 #: 2: records grew hde_serial_cycles, key_failure, key_digest, and the
 #:    analysis dict grew "plain" and "dynamic" sub-payloads.
 #: 3: records grew model_fingerprint (the timing-model digest of the
@@ -41,7 +34,6 @@ from pathlib import Path
 STORE_SCHEMA = 3
 
 DEFAULT_STORE_DIR = Path("benchmarks") / "results" / "farm"
-_FILENAME = "results.jsonl"
 
 #: Fields that measure the executing machine's wall clock — the only
 #: fields on which two measurements of the same job key may legitimately
@@ -245,8 +237,8 @@ class FarmRecord:
     @classmethod
     def from_dict(cls, data) -> "FarmRecord | None":
         """Revive an already-parsed store line; None when it is not a
-        current-schema record (callers that parse the JSON themselves —
-        the doctor's one-pass scan — skip the second ``json.loads``)."""
+        current-schema record (the shared log scan parses each line
+        once and revives it here)."""
         if not isinstance(data, dict) or data.get("schema") != STORE_SCHEMA:
             return None
         names = {f.name for f in fields(cls)}
@@ -285,90 +277,25 @@ class MergeStats:
         return text
 
 
-class ResultStore:
+class ResultStore(AppendLog[FarmRecord]):
     """Keyed JSONL persistence with last-record-wins load semantics.
 
     Thread-safe: the farm's completion path may put records from the
     result-collection loop while CLI progress hooks read counts.
     """
 
+    filename = "results.jsonl"
+    record_type = FarmRecord
+    key = attrgetter("key")
+    order = key
+    skipped_hint = "run `eric sweep --compact` to drop them"
+
     def __init__(self, root: str | Path = DEFAULT_STORE_DIR) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.path = self.root / _FILENAME
-        self._lock = threading.Lock()
-        self._records: dict[str, FarmRecord]
-        self._records, self.skipped_lines = self._read_file()
-
-    def _read_file(self) -> tuple[dict[str, FarmRecord], int]:
-        """Parse the on-disk file: last record per key wins, corrupt or
-        schema-mismatched lines are counted, not fatal."""
-        records: dict[str, FarmRecord] = {}
-        skipped = 0
-        if self.path.exists():
-            for line in self.path.read_text(encoding="utf-8").splitlines():
-                if not line.strip():
-                    continue
-                record = FarmRecord.from_json(line)
-                if record is None:
-                    skipped += 1
-                else:
-                    records[record.key] = record
-        return records, skipped
-
-    def skipped_warning(self) -> str | None:
-        """One-line operator warning when the loaded file carried
-        corrupt or schema-mismatched lines; None when it loaded clean.
-        Shared by every CLI entry point so the wording stays uniform."""
-        if not self.skipped_lines:
-            return None
-        return (f"{self.path} has {self.skipped_lines} corrupt or "
-                f"schema-mismatched line(s); run `eric sweep --compact` "
-                f"to drop them")
-
-    def get(self, key: str) -> FarmRecord | None:
-        with self._lock:
-            return self._records.get(key)
+        super().__init__(root)
 
     def put(self, record: FarmRecord) -> None:
         """Remember and append; the new record wins future lookups."""
-        with self._lock:
-            self._records[record.key] = record
-            with self.path.open("a", encoding="utf-8") as handle:
-                handle.write(record.to_json() + "\n")
-
-    def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._records
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._records)
-
-    def keys(self) -> set[str]:
-        with self._lock:
-            return set(self._records)
-
-    def compact(self) -> int:
-        """Rewrite the file with one line per live key (sorted), dropping
-        superseded duplicates and corrupt lines; returns the line count.
-
-        The file is re-read (last record per key wins) before rewriting:
-        records appended by another process up to that re-read are
-        merged in, not discarded.  Every ``put`` writes through to disk,
-        so the on-disk record for a key this store also holds is at
-        least as new as the in-memory one.  (The lock is in-process
-        only: an append that lands in the short window between the
-        re-read and the rewrite can still be lost — compact stores
-        while other writers are quiescent.)
-        """
-        with self._lock:
-            merged, _ = self._read_file()
-            for key, record in self._records.items():
-                merged.setdefault(key, record)
-            self._records = merged
-            self._rewrite(merged)
-            return len(merged)
+        self._append(record)
 
     def merge_from(self, path: str | Path,
                    keys: "set[str] | frozenset[str] | None" = None
@@ -394,54 +321,14 @@ class ResultStore:
         """
         source = Path(path)
         if source.is_dir():
-            source = source / _FILENAME
-        incoming: dict[str, FarmRecord] = {}
-        skipped = 0
-        ignored = 0
-        if source.exists():
-            for line in source.read_text(encoding="utf-8").splitlines():
-                if not line.strip():
-                    continue
-                record = FarmRecord.from_json(line)
-                if record is None:
-                    skipped += 1
-                elif keys is not None and record.key not in keys:
-                    ignored += 1
-                else:
-                    incoming[record.key] = record
+            source = source / self.filename
+        incoming = self.scan(source, only=keys)
         with self._lock:
-            merged, _ = self._read_file()
-            for key, record in self._records.items():
-                merged.setdefault(key, record)
-            added = sum(1 for key in incoming if key not in merged)
-            replaced = len(incoming) - added
-            merged.update(incoming)
-            self._records = merged
+            merged = self._reread()
+            added = sum(1 for key in incoming.records if key not in merged)
+            merged.update(incoming.records)
             self._rewrite(merged)
-        return MergeStats(added=added, replaced=replaced, skipped=skipped,
-                          ignored=ignored)
-
-    def _rewrite(self, records: dict[str, FarmRecord]) -> None:
-        """Atomically replace the file with one sorted line per key.
-
-        Written to a sibling temp file first and :func:`os.replace`\\ d
-        over the store, so a crash mid-write leaves the previous file
-        intact — never a half-written one.  Caller holds the lock.
-        """
-        text = "".join(records[key].to_json() + "\n"
-                       for key in sorted(records))
-        handle, tmp_name = tempfile.mkstemp(
-            dir=self.root, prefix=_FILENAME + ".", suffix=".tmp")
-        try:
-            with os.fdopen(handle, "w", encoding="utf-8") as tmp:
-                tmp.write(text)
-                tmp.flush()
-                os.fsync(tmp.fileno())
-            os.replace(tmp_name, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        self.skipped_lines = 0
+        return MergeStats(added=added,
+                          replaced=len(incoming.records) - added,
+                          skipped=incoming.skipped,
+                          ignored=incoming.ignored)

@@ -7,9 +7,9 @@ Three cooperating layers over the stack's existing telemetry hub:
   request → scheduler fleet → farm batch → job), *including* process
   boundaries: trace context rides into ``ProcessPoolExecutor`` job
   payloads and ``shard.json`` worker specs.  Spans persist as
-  append-only ``trace.jsonl`` with the same last-wins/torn-tail
-  discipline as :class:`~repro.farm.store.ResultStore`; ``eric trace
-  DIR`` renders per-request waterfalls and critical paths.
+  append-only ``trace.jsonl`` under the :mod:`repro.jsonlog`
+  discipline shared with the result store; ``eric trace DIR`` renders
+  per-request waterfalls and critical paths.
 
 * :mod:`repro.obs.metrics` — a process-wide :class:`MetricsRegistry`
   (counters, gauges, histograms with p50/p95/p99) fed by the existing

@@ -7,8 +7,9 @@ add a lock-ordering or failure dependency, so every operation is a
 single short critical section and never raises on bad input.
 
 Snapshots persist as ``metrics.json`` next to the store or journal they
-describe (atomic temp-file + ``os.replace``, like every other on-disk
-artifact here), and ``eric metrics DIR`` renders them Prometheus-style.
+describe (rewritten atomically by :func:`repro.jsonlog.atomic_rewrite`,
+like every other on-disk artifact here), and ``eric metrics DIR``
+renders them Prometheus-style.
 Counters increment monotonically for the life of the process: a CLI
 invocation's dump therefore describes exactly that run.
 """
@@ -17,11 +18,11 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import tempfile
 import threading
 from collections import deque
 from pathlib import Path
+
+from repro.jsonlog import atomic_rewrite
 
 METRICS_FILENAME = "metrics.json"
 METRICS_SCHEMA = 1
@@ -133,21 +134,8 @@ class MetricsRegistry:
         root = Path(root)
         root.mkdir(parents=True, exist_ok=True)
         path = root / METRICS_FILENAME
-        text = json.dumps(self.snapshot(), sort_keys=True, indent=2) + "\n"
-        handle, tmp_name = tempfile.mkstemp(
-            dir=root, prefix=METRICS_FILENAME + ".", suffix=".tmp")
-        try:
-            with os.fdopen(handle, "w", encoding="utf-8") as tmp:
-                tmp.write(text)
-                tmp.flush()
-                os.fsync(tmp.fileno())
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        atomic_rewrite(path, json.dumps(self.snapshot(), sort_keys=True,
+                                        indent=2) + "\n")
         return path
 
     def render(self) -> str:

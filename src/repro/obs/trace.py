@@ -8,13 +8,11 @@ dicts (:meth:`TraceContext.to_wire`): the farm puts one into each
 into every ``shard.json``, so a worker subprocess (or a remote ``eric
 worker``) parents its spans under the dispatching run.
 
-Persistence follows the :class:`~repro.farm.store.ResultStore`
-discipline exactly: append-only JSONL, one single-``write`` line per
-event, last record per span ID wins, corrupt/torn lines are skipped
-and counted, never fatal.  Every span is written twice — once at start
-(``end_s`` null) and once at finish — so a crash leaves *unfinished*
-spans behind as forensic evidence ``eric doctor --trace`` can report.
-Merging shard trace files is plain line concatenation
+Persistence follows the append-only log discipline of
+:mod:`repro.jsonlog`, keyed by span ID.  Every span is written twice —
+once at start (``end_s`` null) and once at finish — so a crash leaves
+*unfinished* spans behind as forensic evidence ``eric doctor --trace``
+can report.  Merging shard trace files is plain line concatenation
 (:func:`merge_trace_files`), the same property the store's
 ``merge_from`` exploits.
 """
@@ -27,9 +25,11 @@ import time
 import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable
 
+from repro.jsonlog import append_lines, scan_lines
 from repro.obs.metrics import format_duration
 
 TRACE_FILENAME = "trace.jsonl"
@@ -115,10 +115,8 @@ class Tracer:
     """Creates spans and persists them to ``<root>/trace.jsonl``.
 
     ``root=None`` keeps finished spans in memory only (:attr:`spans`)
-    — tests and ad-hoc use.  File appends are one locked ``write`` per
-    line, so concurrent threads *and* concurrent processes appending
-    to the same file interleave whole lines, never fragments (the
-    journal's contract).
+    — tests and ad-hoc use.  File appends are whole lines under a lock,
+    so concurrent threads *and* processes interleave whole lines.
     """
 
     def __init__(self, root: str | Path | None = None) -> None:
@@ -174,11 +172,13 @@ class Tracer:
     def _write(self, data: dict) -> None:
         if self.path is None:
             return
-        line = json.dumps(data, sort_keys=True,
-                          separators=(",", ":")) + "\n"
+        line = _span_line(data)
         with self._lock:
-            with self.path.open("a", encoding="utf-8") as handle:
-                handle.write(line)
+            append_lines(self.path, line)
+
+
+def _span_line(data: dict) -> str:
+    return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 # ----------------------------------------------------------------------
@@ -242,24 +242,9 @@ def read_trace(path: str | Path) -> tuple[dict[str, SpanRecord], int]:
     path = Path(path)
     if path.is_dir():
         path = path / TRACE_FILENAME
-    spans: dict[str, SpanRecord] = {}
-    skipped = 0
-    if not path.exists():
-        return spans, skipped
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        try:
-            data = json.loads(line)
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            skipped += 1
-            continue
-        record = SpanRecord.from_dict(data)
-        if record is None:
-            skipped += 1
-        else:
-            spans[record.span_id] = record
-    return spans, skipped
+    found = scan_lines(path, SpanRecord.from_dict, attrgetter("span_id"),
+                       TRACE_SCHEMA)
+    return found.records, found.skipped
 
 
 def merge_trace_files(dest: str | Path,
@@ -271,17 +256,12 @@ def merge_trace_files(dest: str | Path,
     dest = Path(dest)
     if dest.is_dir():
         dest = dest / TRACE_FILENAME
-    appended = 0
+    lines = [_span_line({"schema": TRACE_SCHEMA, **record.__dict__})
+             for source in sources
+             for record in read_trace(source)[0].values()]
     dest.parent.mkdir(parents=True, exist_ok=True)
-    with dest.open("a", encoding="utf-8") as out:
-        for source in sources:
-            spans, _ = read_trace(source)
-            for record in spans.values():
-                out.write(json.dumps(
-                    {"schema": TRACE_SCHEMA, **record.__dict__},
-                    sort_keys=True, separators=(",", ":")) + "\n")
-                appended += 1
-    return appended
+    append_lines(dest, "".join(lines))
+    return len(lines)
 
 
 @dataclass(frozen=True)

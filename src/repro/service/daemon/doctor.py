@@ -13,19 +13,16 @@ wrapper.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.service.daemon.journal import (JOURNAL_SCHEMA, LIVE_STATES,
-                                          TERMINAL_STATES, JournalRecord)
+from repro.service.daemon.journal import (LIVE_STATES, TERMINAL_STATES,
+                                          JournalStore)
 
 #: A ``running`` record untouched for this long is presumed orphaned
 #: (checkpoints and terminal transitions all bump ``updated_at``).
 DEFAULT_STALE_AFTER_S = 600.0
-
-_FILENAME = "journal.jsonl"
 
 
 @dataclass(frozen=True)
@@ -115,35 +112,9 @@ def diagnose_journal(root: str | Path, *,
 
     ``now`` pins the staleness clock (tests); defaults to wall time.
     """
-    path = Path(root) / _FILENAME
-    total = corrupt = foreign = valid = 0
-    latest: dict[str, JournalRecord] = {}
-    if path.is_file():
-        exists = True
-        for line in path.read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            total += 1
-            try:
-                data = json.loads(line)
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                corrupt += 1
-                continue
-            if isinstance(data, dict):
-                schema = data.get("schema")
-                if isinstance(schema, int) \
-                        and not isinstance(schema, bool) \
-                        and schema != JOURNAL_SCHEMA:
-                    foreign += 1
-                    continue
-            record = JournalRecord.from_dict(data)
-            if record is None:
-                corrupt += 1
-                continue
-            valid += 1
-            latest[record.request_id] = record
-    else:
-        exists = False
+    path = Path(root) / JournalStore.filename
+    found = JournalStore.scan(path)
+    latest = found.records
     state_counts: dict[str, int] = {}
     for record in latest.values():
         state_counts[record.state] = \
@@ -158,7 +129,7 @@ def diagnose_journal(root: str | Path, *,
         if record.state == "running"
         and clock - record.updated_at > stale_after_s)
     return JournalDiagnosis(
-        path=str(path), exists=exists, total_lines=total,
-        state_counts=state_counts, superseded=valid - len(latest),
-        corrupt=corrupt, foreign_schema=foreign, stuck=stuck,
+        path=str(path), exists=found.exists, total_lines=found.total,
+        state_counts=state_counts, superseded=found.superseded,
+        corrupt=found.corrupt, foreign_schema=found.foreign, stuck=stuck,
         stale_after_s=stale_after_s)

@@ -2,14 +2,10 @@
 
 Every request the serve daemon accepts is an append-only JSONL record
 under a journal directory — one line per state change, keyed by
-``request_id``, exactly the :class:`~repro.farm.store.ResultStore`
-discipline applied to *requests* instead of measurements:
-
-* a truncated/corrupt line (killed process mid-append) is skipped, not
-  fatal;
-* records written under a different :data:`JOURNAL_SCHEMA` are ignored;
-* duplicate ``request_id`` lines resolve to the *last* record — a state
-  transition simply appends the updated record and wins.
+``request_id``, under the same :mod:`repro.jsonlog` discipline as the
+farm's result store, applied to *requests* instead of measurements: a
+state transition simply appends the updated record and wins, and lines
+of another :data:`JOURNAL_SCHEMA` are skipped.
 
 The append-only layout is what makes the daemon durable: submitters
 (``eric submit``) and the daemon append to the same file from different
@@ -32,21 +28,17 @@ replay resumes those too.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
-import threading
 import time
 import uuid
 from dataclasses import asdict, dataclass, fields, replace
-from pathlib import Path
+from operator import attrgetter
 
 from repro.errors import ConfigError, EricError
+from repro.jsonlog import AppendLog
 
 #: Journal record layout version; lines under any other version are
 #: skipped at load (they no longer describe what the daemon serves).
 JOURNAL_SCHEMA = 1
-
-_FILENAME = "journal.jsonl"
 
 #: States a request moves through, in lifecycle order.
 LIVE_STATES = ("submitted", "admitted", "running")
@@ -165,72 +157,22 @@ class JournalRecord:
         return record
 
 
-class JournalStore:
+class JournalStore(AppendLog[JournalRecord]):
     """Keyed JSONL persistence of request records, last-line-wins.
+    Submitters and the daemon append to the same file from different
+    processes; :meth:`reload` picks up the other side's lines."""
 
-    Thread-safe in-process; cross-process safety rests on appends being
-    single ``write`` calls of one line (the submitter/daemon contract)
-    and on :meth:`reload` tolerating a torn tail.
-    """
-
-    def __init__(self, root: str | Path) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.path = self.root / _FILENAME
-        self._lock = threading.Lock()
-        self._records: dict[str, JournalRecord]
-        self._records, self.skipped_lines = self._read_file()
-
-    def _read_file(self) -> tuple[dict[str, JournalRecord], int]:
-        records: dict[str, JournalRecord] = {}
-        skipped = 0
-        if self.path.exists():
-            for line in self.path.read_text(
-                    encoding="utf-8").splitlines():
-                if not line.strip():
-                    continue
-                record = JournalRecord.from_json(line)
-                if record is None:
-                    skipped += 1
-                else:
-                    records[record.request_id] = record
-        return records, skipped
-
-    def skipped_warning(self) -> str | None:
-        """One-line operator warning when the journal carried corrupt
-        or schema-mismatched lines; None when it loaded clean."""
-        if not self.skipped_lines:
-            return None
-        return (f"{self.path} has {self.skipped_lines} corrupt or "
-                f"schema-mismatched line(s); they are skipped at load "
-                f"and dropped by compaction")
-
-    def reload(self) -> None:
-        """Re-read the file, picking up records appended by other
-        processes (``eric submit`` while the daemon runs).  Every
-        in-process mutation writes through to disk first, so the file
-        is always at least as new as memory."""
-        with self._lock:
-            self._records, self.skipped_lines = self._read_file()
-
-    def get(self, request_id: str) -> JournalRecord | None:
-        with self._lock:
-            return self._records.get(request_id)
-
-    def __contains__(self, request_id: str) -> bool:
-        with self._lock:
-            return request_id in self._records
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._records)
+    filename = "journal.jsonl"
+    record_type = JournalRecord
+    key = attrgetter("request_id")
+    order = attrgetter("submitted_at", "request_id")
+    skipped_hint = "they are skipped at load and dropped by compaction"
 
     def records(self) -> tuple[JournalRecord, ...]:
         """Every request's latest record, oldest submission first."""
         with self._lock:
             records = list(self._records.values())
-        return tuple(sorted(
-            records, key=lambda r: (r.submitted_at, r.request_id)))
+        return tuple(sorted(records, key=self.order))
 
     def by_state(self, *states: str) -> tuple[JournalRecord, ...]:
         for state in states:
@@ -246,11 +188,7 @@ class JournalStore:
     def append(self, record: JournalRecord) -> JournalRecord:
         """Validate, remember, and append one record (write-through)."""
         record.validate()
-        with self._lock:
-            self._records[record.request_id] = record
-            with self.path.open("a", encoding="utf-8") as handle:
-                handle.write(record.to_json() + "\n")
-        return record
+        return self._append(record)
 
     def submit(self, fleet: dict, *, tenant: str = "default",
                priority: int = 0, total_jobs: int = 0,
@@ -286,39 +224,3 @@ class JournalStore:
             attempts=(attempts if attempts is not None
                       else record.attempts))
         return self.append(updated)
-
-    def compact(self) -> int:
-        """Atomically rewrite the file with one line per request
-        (sorted by submission), dropping superseded state lines and
-        corrupt tails; returns the line count.
-
-        The file is re-read first, so records appended by another
-        process up to that point merge in rather than vanish (the same
-        small lost-append window :meth:`ResultStore.compact` documents:
-        compact while other writers are quiescent).
-        """
-        with self._lock:
-            merged, _ = self._read_file()
-            for request_id, record in self._records.items():
-                merged.setdefault(request_id, record)
-            self._records = merged
-            ordered = sorted(merged.values(),
-                             key=lambda r: (r.submitted_at,
-                                            r.request_id))
-            text = "".join(r.to_json() + "\n" for r in ordered)
-            handle, tmp_name = tempfile.mkstemp(
-                dir=self.root, prefix=_FILENAME + ".", suffix=".tmp")
-            try:
-                with os.fdopen(handle, "w", encoding="utf-8") as tmp:
-                    tmp.write(text)
-                    tmp.flush()
-                    os.fsync(tmp.fileno())
-                os.replace(tmp_name, self.path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
-            self.skipped_lines = 0
-            return len(merged)

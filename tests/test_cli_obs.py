@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACE_FILENAME, Tracer
 
 SPEC = {
@@ -29,6 +30,7 @@ class TestSweepTraceMetrics:
     def test_traced_sweep_renders_and_diagnoses(self, spec_file,
                                                 tmp_path, capsys):
         store = str(tmp_path / "farm")
+        METRICS.reset()  # the dump reads the process-wide registry
         assert main(["sweep", spec_file, "--store", store,
                      "--trace", "--metrics", "--quiet"]) == 0
         out = capsys.readouterr().out
@@ -43,7 +45,7 @@ class TestSweepTraceMetrics:
 
         assert main(["metrics", store]) == 0
         out = capsys.readouterr().out
-        assert "eric_farm_executed 2" in out
+        assert "eric_farm_executed 2" in out.splitlines()
 
         assert main(["doctor", "--store", store, "--trace", store]) == 0
         assert "verdict: healthy" in capsys.readouterr().out
