@@ -68,6 +68,7 @@ def main(argv=None) -> int:
                         help="journal/store parent (default: temp dir)")
     args = parser.parse_args(argv)
     work = args.workdir or tempfile.mkdtemp(prefix="daemon-smoke-")
+    os.makedirs(work, exist_ok=True)
     journal_dir = os.path.join(work, "journal")
     store_dir = os.path.join(work, "store")
     spec_path = os.path.join(work, "fleets.json")

@@ -12,7 +12,7 @@ of one farm/store pair" architecture:
   the proof: every real simulation appends exactly one line);
 * **backpressure**: the pending-jobs watermark bounds admitted work —
   excess requests defer in the journal (never in daemon memory), are
-  observable as ``daemon.reject`` telemetry, and still complete.
+  observable as ``daemon.reject`` events, and still complete.
 
 Wall-time columns are machine-dependent and Volatile-masked; the
 request/executed/store-line counts are the stable content.
@@ -23,9 +23,9 @@ import time
 
 from repro.eval.report import Volatile, format_table
 from repro.farm import ResultStore
+from repro.obs.sinks import RecordingTelemetry
 from repro.service.daemon import (AdmissionPolicy, JournalStore,
                                   ServeDaemon, submit_fleets)
-from repro.service.telemetry import RecordingTelemetry
 
 PROBE = "int main() { return 0; }\n"
 
@@ -55,14 +55,14 @@ def _store_lines(store_dir) -> int:
 
 
 class _CrashAtFirstCheckpoint:
-    """Telemetry sink that stops the daemon at its first checkpoint —
-    an in-process stand-in for SIGTERM landing mid-serve."""
+    """Tracer sink that stops the daemon at its first checkpoint — an
+    in-process stand-in for SIGTERM landing mid-serve."""
 
     def __init__(self, daemon):
         self.daemon = daemon
 
-    def __call__(self, event):
-        if event.stage == "daemon.checkpoint":
+    def __call__(self, record):
+        if record.name == "daemon.checkpoint":
             self.daemon.request_shutdown()
 
 
@@ -75,16 +75,14 @@ def test_daemon_crash_then_resume_zero_resimulation(record, tmp_path):
     daemon1 = ServeDaemon(JournalStore(journal_dir),
                           store=ResultStore(store_dir),
                           checkpoint_every=1)
-    daemon1.on_event(_CrashAtFirstCheckpoint(daemon1))
+    daemon1.tracer.add_sink(_CrashAtFirstCheckpoint(daemon1))
     crashed, wall1 = _run(daemon1)
     lines_after_crash = _store_lines(store_dir)
 
     # phase 2: a fresh daemon (fresh journal/store handles — nothing
     # in-memory survives) resumes and finishes everything
-    resumed_telemetry = RecordingTelemetry()
     daemon2 = ServeDaemon(JournalStore(journal_dir),
-                          store=ResultStore(store_dir),
-                          telemetry=resumed_telemetry)
+                          store=ResultStore(store_dir))
     finished, wall2 = _run(daemon2)
     lines_final = _store_lines(store_dir)
 
@@ -138,8 +136,8 @@ def test_watermark_backpressure_defers_and_completes(record, tmp_path):
     telemetry = RecordingTelemetry()
     daemon = ServeDaemon(
         JournalStore(journal_dir), store=ResultStore(tmp_path / "farm"),
-        policy=AdmissionPolicy(max_pending_jobs=2), max_active=1,
-        telemetry=telemetry)
+        policy=AdmissionPolicy(max_pending_jobs=2), max_active=1)
+    daemon.tracer.add_sink(telemetry)
     report, wall = _run(daemon)
 
     headers = ["watermark", "wall ms", "completed", "deferred",

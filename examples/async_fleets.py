@@ -32,8 +32,8 @@ if True:  # allow running straight from a checkout
         0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from repro.farm import ResultStore
+from repro.obs import StagePrinter
 from repro.service.scheduler import FleetScheduler, load_fleet_specs
-from repro.service.telemetry import StagePrinter
 
 TELEMETRY_FW = """
 int main() {
@@ -68,8 +68,9 @@ FLEETS = {"fleets": [
 
 async def serve(store_dir: str) -> None:
     scheduler = FleetScheduler(store=ResultStore(store_dir))
-    # narrate the spans: fleet begin/end, batches, the serve itself
-    scheduler.on_event(StagePrinter(stages="scheduler."))
+    # narrate the scheduler's stages: fleet begin/end, batches, the
+    # serve itself
+    scheduler.tracer.add_sink(StagePrinter(stages="scheduler."))
     try:
         report = await scheduler.serve(load_fleet_specs(FLEETS))
         print()

@@ -34,9 +34,9 @@ if True:  # allow running straight from a checkout
         0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from repro.farm import ResultStore
+from repro.obs import StagePrinter
 from repro.service.daemon import (JournalStore, ServeDaemon,
                                   format_status, submit_fleets)
-from repro.service.telemetry import StagePrinter
 
 TELEMETRY_FW = """
 int main() {
@@ -71,8 +71,8 @@ class CrashAtFirstCheckpoint:
     def __init__(self, daemon: ServeDaemon) -> None:
         self.daemon = daemon
 
-    def __call__(self, event) -> None:
-        if event.stage == "daemon.checkpoint":
+    def __call__(self, record) -> None:
+        if record.name == "daemon.checkpoint":
             self.daemon.request_shutdown()
 
 
@@ -88,9 +88,9 @@ def main() -> int:
     # 2. serve until the first checkpoint, then "crash"
     daemon = ServeDaemon(JournalStore(journal_dir),
                          store=ResultStore(store_dir),
-                         checkpoint_every=1,
-                         telemetry=StagePrinter(stages="daemon."))
-    daemon.on_event(CrashAtFirstCheckpoint(daemon))
+                         checkpoint_every=1)
+    daemon.tracer.add_sink(StagePrinter(stages="daemon."))
+    daemon.tracer.add_sink(CrashAtFirstCheckpoint(daemon))
     crashed = asyncio.run(daemon.run(once=True))
     print(f"\ninterrupted: {crashed.summary()}\n")
     print(format_status(JournalStore(journal_dir)))
@@ -98,8 +98,8 @@ def main() -> int:
     # 3. a fresh daemon replays the journal and finishes the fleets;
     #    jobs measured before the crash come back as store hits
     daemon = ServeDaemon(JournalStore(journal_dir),
-                         store=ResultStore(store_dir),
-                         telemetry=StagePrinter(stages="daemon."))
+                         store=ResultStore(store_dir))
+    daemon.tracer.add_sink(StagePrinter(stages="daemon."))
     print("\nrestarting ...")
     finished = asyncio.run(daemon.run(once=True))
     print(f"\nresumed: {finished.summary()}\n")

@@ -29,7 +29,7 @@ int main() {
 def main() -> None:
     session = DeploymentSession()
     telemetry = RecordingTelemetry()
-    session.on_event(telemetry)
+    session.tracer.add_sink(telemetry)
 
     fleet = [Device(device_seed=5000 + i) for i in range(10)]
 

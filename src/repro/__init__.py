@@ -35,7 +35,8 @@ Package map (see DESIGN.md for the full inventory):
                        the compiler split into a device-independent
                        ``prepare`` and per-device ``package_artifact``
 ``repro.service``      fleet-scale deployment: ``DeploymentSession``,
-                       artifact cache, fleet reports, telemetry hooks
+                       artifact cache, fleet reports, async scheduler,
+                       durable daemon
 ``repro.farm``         matrix-scale evaluation: content-addressed job
                        matrices, a resumable result store, and a
                        process-pool simulation farm (``eric sweep``)
@@ -49,6 +50,8 @@ Package map (see DESIGN.md for the full inventory):
 ``repro.net``          untrusted channel + static/dynamic attackers
 ``repro.workloads``    MiBench-counterpart benchmark programs
 ``repro.eval``         regenerates every table and figure of the paper
+``repro.obs``          tracing (every layer's one event channel: spans
+                       and events to sinks), metrics registry
 =====================  ====================================================
 """
 
@@ -72,14 +75,13 @@ from repro.farm import (
     SimParams,
     SimulationFarm,
 )
+from repro.obs import RecordingTelemetry
 from repro.service import (
     ArtifactCache,
     CacheStats,
     DeploymentSession,
     FleetDeploymentReport,
     FleetDeviceOutcome,
-    RecordingTelemetry,
-    TelemetryEvent,
 )
 
 __version__ = "1.2.0"
@@ -107,7 +109,6 @@ __all__ = [
     "FleetDeploymentReport",
     "FleetDeviceOutcome",
     "RecordingTelemetry",
-    "TelemetryEvent",
     "deploy",
     "EricError",
     "PackageFormatError",

@@ -207,8 +207,7 @@ def _warn_skipped_lines(store) -> None:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.farm import (FarmCoordinator, JobMatrix, ResultStore,
                             SimulationFarm)
-    from repro.obs import METRICS, Tracer
-    from repro.service.telemetry import StagePrinter
+    from repro.obs import METRICS, StagePrinter, Tracer
 
     if args.compact and args.no_store:
         raise EricError("--compact rewrites the result store; "
@@ -231,12 +230,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if not args.quiet:
             # per-job events stay inside the worker processes; narrate
             # shard completions instead
-            farm.on_event(StagePrinter(stages="farm.shard"))
+            farm.tracer.add_sink(StagePrinter(stages="farm.shard"))
     else:
         farm = SimulationFarm(store=store, jobs=args.jobs,
                               tracer=tracer)
         if not args.quiet:
-            farm.on_event(StagePrinter(stages="farm.job"))
+            farm.tracer.add_sink(StagePrinter(stages="farm.job"))
     report = farm.run(matrix, force=args.force)
     print(report.render())
     print(report.summary())
@@ -259,7 +258,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_frontier(args: argparse.Namespace) -> int:
     from repro.eval.frontier import frontier_report
     from repro.farm import JobMatrix, ResultStore, SimulationFarm
-    from repro.service.telemetry import StagePrinter
+    from repro.obs import StagePrinter
 
     spec = _load_json(args.spec, "frontier spec")
     matrix = JobMatrix.from_spec(spec)
@@ -274,7 +273,7 @@ def _cmd_frontier(args: argparse.Namespace) -> int:
     _warn_skipped_lines(store)
     farm = SimulationFarm(store=store, jobs=args.jobs)
     if not args.quiet:
-        farm.on_event(StagePrinter(stages="farm.job"))
+        farm.tracer.add_sink(StagePrinter(stages="farm.job"))
     report = farm.run(matrix, force=args.force)
     if report.failures:
         for failure in report.failures:
@@ -308,9 +307,8 @@ def _cmd_docs_cli(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.farm import ResultStore
-    from repro.obs import METRICS, Tracer
+    from repro.obs import METRICS, StagePrinter, Tracer
     from repro.service.scheduler import FleetScheduler, load_fleet_specs
-    from repro.service.telemetry import StagePrinter
 
     if args.shards and args.no_store:
         raise EricError("--shards merges shard stores into the main "
@@ -327,12 +325,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         shard_root=args.shard_root, max_concurrency=args.max_concurrency,
         batch_window=args.batch_window, tracer=tracer)
     if not args.quiet:
-        scheduler.on_event(StagePrinter(stages="scheduler."))
+        scheduler.tracer.add_sink(StagePrinter(stages="scheduler."))
     report = scheduler.run(requests, force=args.force)
     for fleet in report.fleets:
         print(fleet.summary())
         # failed jobs exit nonzero below; name each one so the
-        # operator does not have to re-run with telemetry on
+        # operator does not have to re-run with narration on
         for failure in fleet.failures:
             print(f"  FAILED {fleet.name}/"
                   f"{failure.spec.display_name}: {failure.error}")
@@ -351,14 +349,13 @@ def _cmd_daemon(args: argparse.Namespace) -> int:
     import signal
 
     from repro.farm import ResultStore
+    from repro.obs import StagePrinter, Tracer
     from repro.service.daemon import (AdmissionPolicy, JournalStore,
                                       ServeDaemon, submit_fleets)
-    from repro.service.telemetry import StagePrinter
 
     if args.shards and args.no_store:
         raise EricError("--shards merges shard stores into the main "
                         "store; drop --no-store to use it")
-    from repro.obs import Tracer
 
     journal = JournalStore(args.journal)
     _warn_skipped_lines(journal)
@@ -384,7 +381,7 @@ def _cmd_daemon(args: argparse.Namespace) -> int:
         poll_interval=args.poll_interval, tracer=tracer,
         metrics_interval=args.metrics_interval)
     if not args.quiet:
-        daemon.on_event(StagePrinter(stages="daemon."))
+        daemon.tracer.add_sink(StagePrinter(stages="daemon."))
 
     async def _run():
         loop = asyncio.get_running_loop()

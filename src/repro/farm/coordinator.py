@@ -41,7 +41,6 @@ from repro.farm.store import MergeStats, ResultStore
 from repro.obs.metrics import METRICS
 from repro.obs.trace import (TRACE_FILENAME, TraceContext, Tracer,
                              merge_trace_files)
-from repro.service.telemetry import TelemetryEvent, TelemetryHub
 
 SHARD_SPEC_FILENAME = "shard.json"
 
@@ -102,24 +101,24 @@ class FarmCoordinator:
             The default 1 treats shards as the unit of parallelism.
         shard_root: where per-shard stores and specs live (default:
             ``<store>/shards``).
-        telemetry: optional initial telemetry sink (``farm.shard`` and
-            ``farm.sweep`` events; per-job events happen in worker
-            processes and do not cross the process boundary).
         progress: optional ``callback(done, total, result)``, fired per
             job for main-store hits and per merged job once a shard
             completes.
-        tracer: optional :class:`~repro.obs.trace.Tracer`; a run
-            becomes a ``farm.sweep`` span whose context rides into
-            every shard.json, and each worker's shard-store trace file
-            is merged back next to the records (so the assembled
-            waterfall spans the process boundary).
+        tracer: the :class:`~repro.obs.trace.Tracer` the coordinator
+            emits through (a memory-only one if not given): a run is a
+            ``farm.sweep`` span, each completed shard a ``farm.shard``
+            event and each main-store hit or merged job a ``farm.job``
+            event (the workers' own per-job events stay in their
+            processes).  When it is file-backed, the sweep's context
+            rides into every shard.json, and each worker's shard-store
+            trace file is merged back next to the records (so the
+            assembled waterfall spans the process boundary).
     """
 
     def __init__(self, store: ResultStore, shards: int = 2,
                  jobs_per_shard: int = 1,
                  shard_root: str | Path | None = None,
-                 telemetry=None, progress=None,
-                 tracer: Tracer | None = None) -> None:
+                 progress=None, tracer: Tracer | None = None) -> None:
         if store is None:
             raise ConfigError(
                 "FarmCoordinator needs a main store to merge shard "
@@ -134,16 +133,9 @@ class FarmCoordinator:
         self.shard_root = (Path(shard_root) if shard_root is not None
                            else store.root / "shards")
         self.progress = progress
-        self.tracer = tracer
-        self._telemetry = TelemetryHub()
-        if telemetry is not None:
-            self._telemetry.add(telemetry)
+        self.tracer = tracer if tracer is not None else Tracer()
         #: per-shard merge outcomes of the last run (CLI reporting)
         self.last_merge: tuple[MergeStats, ...] = ()
-
-    def on_event(self, sink) -> None:
-        """Register a telemetry sink (see repro.service.telemetry)."""
-        self._telemetry.add(sink)
 
     # ------------------------------------------------------------------
     def plan(self, matrix: JobMatrix | tuple[JobSpec, ...] | list[JobSpec],
@@ -196,10 +188,9 @@ class FarmCoordinator:
         keys = [spec.key() for spec in specs]
         results: list[FarmJobResult | None] = [None] * len(specs)
         total = len(specs)
-        span = (self.tracer.start("farm.sweep", parent=trace_parent,
-                                  attrs={"jobs": total,
-                                         "shards": self.shards})
-                if self.tracer is not None else None)
+        span = self.tracer.start("farm.sweep", parent=trace_parent,
+                                 attrs={"jobs": total,
+                                        "shards": self.shards})
 
         # -- phase 1: serve main-store hits; dedupe within the matrix --
         pending, followers, done = serve_store_hits(
@@ -209,15 +200,12 @@ class FarmCoordinator:
         plan = ShardPlan.partition([specs[i] for i in pending],
                                    self.shards) if pending \
             else ShardPlan(shards=())
-        # untraced runs keep the two-arg _dispatch call so stand-in
-        # dispatchers (tests) need not grow the trace parameter
-        trace = span.context.to_wire() if span is not None else None
-        if not plan.shards:
-            outcomes = []
-        elif trace is not None:
-            outcomes = self._dispatch(plan, force, trace)
-        else:
-            outcomes = self._dispatch(plan, force)
+        # trace context crosses into the workers only when their spans
+        # have a file to land in
+        traced = self.tracer.path is not None
+        trace = span.context.to_wire() if traced else None
+        outcomes = self._dispatch(plan, force, trace) \
+            if plan.shards else []
 
         # -- phase 3: merge shard stores into the main store, each
         # restricted to its *planned* keys: a reused shard directory
@@ -229,7 +217,7 @@ class FarmCoordinator:
             self.store.merge_from(outcome.store_dir,
                                   keys=planned[outcome.index])
             for outcome in sorted(outcomes, key=lambda o: o.index))
-        if span is not None and self.tracer.path is not None and outcomes:
+        if traced and outcomes:
             # shard workers traced into their own store dirs; pull
             # those spans back so the main waterfall crosses the
             # process boundary (concatenation is the merge)
@@ -275,16 +263,10 @@ class FarmCoordinator:
             results=tuple(results), wall_s=wall_s,
             jobs=self.jobs_per_shard, store_path=str(self.store.path),
             shards=self.shards)
-        detail = (f"{report.hits} hits / {report.executed} executed / "
-                  f"{len(report.failures)} failed across "
-                  f"{plan.count} shard(s)")
-        if span is not None:
-            span.finish(ok=not report.failures, detail=detail)
-        self._telemetry.emit(TelemetryEvent(
-            stage="farm.sweep", seconds=wall_s, ok=not report.failures,
-            detail=detail,
-            trace_id=span.trace_id if span else None,
-            span_id=span.span_id if span else None))
+        span.finish(ok=not report.failures,
+                    detail=(f"{report.hits} hits / {report.executed} "
+                            f"executed / {len(report.failures)} failed "
+                            f"across {plan.count} shard(s)"))
         return report
 
     def run_batch(self, specs, force: bool = False,
@@ -298,7 +280,7 @@ class FarmCoordinator:
         return report, report.by_key()
 
     def _dispatch(self, plan: ShardPlan, force: bool,
-                  trace: dict | None = None) -> list[ShardOutcome]:
+                  trace: dict | None) -> list[ShardOutcome]:
         """Run every shard of ``plan`` in its own worker process."""
         spec_paths = self.write_shard_specs(plan, trace=trace)
         tasks = [(shard, str(path), str(self._shard_dir(shard)))
@@ -340,13 +322,12 @@ class FarmCoordinator:
 
     def _collect(self, shard: ShardSpec,
                  outcome: ShardOutcome) -> ShardOutcome:
-        self._telemetry.emit(TelemetryEvent(
-            stage="farm.shard", seconds=outcome.wall_s,
-            ok=not outcome.failures,
+        self.tracer.event(
+            "farm.shard", outcome.wall_s, ok=not outcome.failures,
             detail=(f"shard {shard.index + 1}/{shard.count}: "
                     f"{len(shard.jobs)} job(s), {outcome.executed} "
                     f"executed, {len(outcome.hit_keys)} shard-store "
-                    f"hit(s), {len(outcome.failures)} failed")))
+                    f"hit(s), {len(outcome.failures)} failed"))
         return outcome
 
     def _announce(self, done: int, total: int,
@@ -362,11 +343,11 @@ class FarmCoordinator:
         else:
             METRICS.inc("farm.executed")
             METRICS.observe("farm.job.wall_s", result.wall_s)
-        self._telemetry.emit(TelemetryEvent(
-            stage="farm.job", seconds=result.wall_s,
-            program=result.spec.display_name, ok=result.ok,
-            detail=("store hit" if result.from_store
-                    else result.error or "merged from shard")))
+        self.tracer.event("farm.job", result.wall_s, ok=result.ok,
+                          detail=("store hit" if result.from_store
+                                  else result.error
+                                  or "merged from shard"),
+                          attrs={"program": result.spec.display_name})
         if self.progress is not None:
             try:
                 self.progress(done, total, result)

@@ -8,9 +8,10 @@ and the mode unit tests use.
 
 Per-job failure isolation: a job that raises records an error outcome
 and the rest of the matrix proceeds; failed jobs are never persisted,
-so the next run retries them.  Every completion is emitted to the
-:mod:`repro.service.telemetry` hub (stage ``farm.job``) and to an
-optional ``progress(done, total, result)`` callback.
+so the next run retries them.  Every run is a ``farm.sweep`` span and
+every completion a ``farm.job`` event on the farm's
+:class:`~repro.obs.trace.Tracer`, and goes to an optional
+``progress(done, total, result)`` callback.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from repro.statics.fingerprint import model_fingerprint
 from repro.puf.arbiter import PufArray
 from repro.puf.key_generator import PufKeyGenerator
 from repro.puf.metrics import key_failure_probability
-from repro.service.telemetry import TelemetryEvent, TelemetryHub
 
 #: Repeated PKG readouts per job for the record's ``key_failure`` field
 #: (the PUF-reliability ablations' protocol).
@@ -508,13 +508,14 @@ class SimulationFarm:
         store: persistent record store; None measures everything
             in-memory (nothing skipped, nothing persisted).
         jobs: worker processes; 1 = inline in this process.
-        telemetry: optional initial telemetry sink.
         progress: optional ``callback(done, total, result)`` fired once
             per job as outcomes land (store hits first).
-        tracer: optional :class:`~repro.obs.trace.Tracer`; every run
-            becomes a ``farm.sweep`` span with per-job ``farm.job``
-            children — written by the worker *subprocesses* themselves
-            when the tracer is file-backed.
+        tracer: the :class:`~repro.obs.trace.Tracer` the farm emits
+            through (a memory-only one if not given): every run is a
+            ``farm.sweep`` span and every outcome a ``farm.job`` event.
+            When it is file-backed, each executed job is also a
+            worker-side ``farm.job`` span under the sweep, written by
+            the worker *subprocesses* themselves.
         metrics: feed the process-wide registry (``store.hits``,
             ``farm.executed``, …).  Shard workers run with False so a
             coordinator dispatching a shard in-process never counts a
@@ -522,22 +523,15 @@ class SimulationFarm:
     """
 
     def __init__(self, store: ResultStore | None = None, jobs: int = 1,
-                 telemetry=None, progress=None, tracer: Tracer | None = None,
+                 progress=None, tracer: Tracer | None = None,
                  metrics: bool = True) -> None:
         if jobs < 1:
             raise ConfigError("jobs must be at least 1")
         self.store = store
         self.jobs = jobs
         self.progress = progress
-        self.tracer = tracer
+        self.tracer = tracer if tracer is not None else Tracer()
         self._metrics = metrics
-        self._telemetry = TelemetryHub()
-        if telemetry is not None:
-            self._telemetry.add(telemetry)
-
-    def on_event(self, sink) -> None:
-        """Register a telemetry sink (see repro.service.telemetry)."""
-        self._telemetry.add(sink)
 
     def run(self, matrix: JobMatrix | tuple[JobSpec, ...] | list[JobSpec],
             force: bool = False,
@@ -546,18 +540,17 @@ class SimulationFarm:
 
         ``force`` re-measures (and re-persists) even stored keys.
         Duplicate keys inside one matrix execute once and share the
-        record.  Results keep matrix submission order.  With a tracer,
-        the whole run is a ``farm.sweep`` span parented under
-        ``trace_parent`` (e.g. a scheduler batch span).
+        record.  Results keep matrix submission order.  The whole run
+        is a ``farm.sweep`` span parented under ``trace_parent`` (e.g.
+        a scheduler batch span).
         """
         specs = expand_specs(matrix)
         start = time.perf_counter()
         keys = [spec.key() for spec in specs]
         results: list[FarmJobResult | None] = [None] * len(specs)
         total = len(specs)
-        span = (self.tracer.start("farm.sweep", parent=trace_parent,
-                                  attrs={"jobs": total})
-                if self.tracer is not None else None)
+        span = self.tracer.start("farm.sweep", parent=trace_parent,
+                                 attrs={"jobs": total})
 
         # -- phase 1: serve store hits; dedupe within the matrix ----------
         pending, followers, done = serve_store_hits(
@@ -565,7 +558,7 @@ class SimulationFarm:
 
         # -- phase 2: execute the rest ------------------------------------
         trace = None
-        if span is not None and self.tracer.path is not None:
+        if self.tracer.path is not None:
             trace = {**span.context.to_wire(),
                      "dir": str(self.tracer.path.parent)}
         for i, record, error, wall_s in self._execute(specs, pending,
@@ -586,15 +579,9 @@ class SimulationFarm:
         report = FarmReport(
             results=tuple(results), wall_s=wall_s, jobs=self.jobs,
             store_path=str(self.store.path) if self.store else None)
-        detail = (f"{report.hits} hits / {report.executed} executed / "
-                  f"{len(report.failures)} failed")
-        if span is not None:
-            span.finish(ok=not report.failures, detail=detail)
-        self._telemetry.emit(TelemetryEvent(
-            stage="farm.sweep", seconds=wall_s, ok=not report.failures,
-            detail=detail,
-            trace_id=span.trace_id if span else None,
-            span_id=span.span_id if span else None))
+        span.finish(ok=not report.failures,
+                    detail=(f"{report.hits} hits / {report.executed} "
+                            f"executed / {len(report.failures)} failed"))
         return report
 
     def run_batch(self, specs, force: bool = False,
@@ -657,11 +644,10 @@ class SimulationFarm:
             else:
                 METRICS.inc("farm.executed")
                 METRICS.observe("farm.job.wall_s", result.wall_s)
-        self._telemetry.emit(TelemetryEvent(
-            stage="farm.job", seconds=result.wall_s,
-            program=result.spec.display_name, ok=result.ok,
-            detail=("store hit" if result.from_store
-                    else result.error or "executed")))
+        self.tracer.event("farm.job", result.wall_s, ok=result.ok,
+                          detail=("store hit" if result.from_store
+                                  else result.error or "executed"),
+                          attrs={"program": result.spec.display_name})
         if self.progress is not None:
             try:
                 self.progress(done, total, result)

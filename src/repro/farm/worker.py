@@ -57,7 +57,7 @@ def load_shard(path: str | Path) -> ShardSpec:
 
 
 def run_shard(shard: ShardSpec, store_dir: str | Path, jobs: int = 1,
-              force: bool = False, telemetry=None,
+              force: bool = False, sink=None,
               progress=None, trace: dict | None = None) -> FarmReport:
     """Execute one shard against its own result store.
 
@@ -66,34 +66,36 @@ def run_shard(shard: ShardSpec, store_dir: str | Path, jobs: int = 1,
     completed record lands in ``store_dir``'s JSONL, ready to be merged
     into the coordinator's main store.
 
-    With a ``trace`` wire context (the coordinator's ``"trace"`` key in
-    shard.json), the shard runs under a ``worker.shard`` span written
-    to ``store_dir``'s own trace.jsonl — shipped/merged back alongside
-    the results exactly like the records themselves.  The farm runs
-    with ``metrics=False``: job counts belong to the coordinator's
-    process-wide registry, not to each shard's.
+    The shard runs under a ``worker.shard`` span; ``sink`` (a tracer
+    sink, see :mod:`repro.obs.sinks`) sees it along with the shard
+    farm's ``farm.sweep`` span and ``farm.job`` events.  With a
+    ``trace`` wire context (the coordinator's ``"trace"`` key in
+    shard.json) the spans are also written to ``store_dir``'s own
+    trace.jsonl — shipped/merged back alongside the results exactly
+    like the records themselves.  The farm runs with ``metrics=False``:
+    job counts belong to the coordinator's process-wide registry, not
+    to each shard's.
     """
     parent = TraceContext.from_wire(trace) if trace else None
-    tracer = Tracer(store_dir) if parent is not None else None
-    span = (tracer.start("worker.shard", parent=parent,
-                         attrs={"shard": shard.index,
-                                "shards": shard.count,
-                                "jobs": len(shard.jobs)})
-            if tracer is not None else None)
+    tracer = Tracer(store_dir if parent is not None else None)
+    if sink is not None:
+        tracer.add_sink(sink)
+    span = tracer.start("worker.shard", parent=parent,
+                        attrs={"shard": shard.index,
+                               "shards": shard.count,
+                               "jobs": len(shard.jobs)})
     farm = SimulationFarm(store=ResultStore(store_dir), jobs=jobs,
-                          telemetry=telemetry, progress=progress,
-                          tracer=tracer, metrics=False)
+                          progress=progress, tracer=tracer,
+                          metrics=False)
     try:
         report = farm.run(shard.jobs, force=force,
-                          trace_parent=span.context if span else None)
+                          trace_parent=span.context)
     except BaseException as exc:
-        if span is not None:
-            span.finish(ok=False, detail=f"{type(exc).__name__}: {exc}")
+        span.finish(ok=False, detail=f"{type(exc).__name__}: {exc}")
         raise
-    if span is not None:
-        span.finish(ok=not report.failures,
-                    detail=f"{report.executed} executed, "
-                           f"{len(report.failures)} failed")
+    span.finish(ok=not report.failures,
+                detail=f"{report.executed} executed, "
+                       f"{len(report.failures)} failed")
     return report
 
 
@@ -119,12 +121,13 @@ def main(argv: list[str] | None = None) -> int:
                         help="suppress per-job progress lines")
     args = parser.parse_args(argv)
 
-    from repro.service.telemetry import StagePrinter
+    from repro.obs.sinks import StagePrinter
 
     shard = load_shard(args.shard)
-    telemetry = None if args.quiet else StagePrinter(stages="farm.job")
     report = run_shard(shard, args.store, jobs=args.jobs,
-                       force=args.force, telemetry=telemetry,
+                       force=args.force,
+                       sink=None if args.quiet
+                       else StagePrinter(stages="farm.job"),
                        trace=read_shard_trace(args.shard))
     print(f"shard {shard.index + 1}/{shard.count}: {report.summary()}")
     print(f"store: {ResultStore(args.store).path}")

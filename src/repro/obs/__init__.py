@@ -1,14 +1,18 @@
 """repro.obs — observability: tracing, metrics, simulator profiling.
 
-Three cooperating layers over the stack's existing telemetry hub:
+Three cooperating layers:
 
 * :mod:`repro.obs.trace` — ``Span``/``Tracer`` with trace/span IDs and
   parent links, propagated across every boundary of a serve (daemon
   request → scheduler fleet → farm batch → job), *including* process
   boundaries: trace context rides into ``ProcessPoolExecutor`` job
-  payloads and ``shard.json`` worker specs.  Spans persist as
-  append-only ``trace.jsonl`` under the :mod:`repro.jsonlog`
-  discipline shared with the result store; ``eric trace DIR`` renders
+  payloads and ``shard.json`` worker specs.  The tracer is the stack's
+  one event channel: every layer holds one and hands each finished
+  span and each event to its sinks (:mod:`repro.obs.sinks` —
+  ``StagePrinter`` narration, ``RecordingTelemetry``).  Spans persist
+  as append-only ``trace.jsonl`` under the :mod:`repro.jsonlog`
+  discipline shared with the result store when the tracer is
+  file-backed; events never persist.  ``eric trace DIR`` renders
   per-request waterfalls and critical paths.
 
 * :mod:`repro.obs.metrics` — a process-wide :class:`MetricsRegistry`
@@ -28,6 +32,7 @@ Three cooperating layers over the stack's existing telemetry hub:
 from repro.obs.metrics import (METRICS, METRICS_FILENAME, MetricsRegistry,
                                format_duration, load_metrics,
                                render_snapshot)
+from repro.obs.sinks import RecordingTelemetry, StagePrinter
 from repro.obs.trace import (TRACE_FILENAME, TRACE_SCHEMA, Span,
                              SpanRecord, TraceContext, TraceDiagnosis,
                              Tracer, TraceTree, build_trees,
@@ -38,8 +43,10 @@ __all__ = [
     "METRICS",
     "METRICS_FILENAME",
     "MetricsRegistry",
+    "RecordingTelemetry",
     "Span",
     "SpanRecord",
+    "StagePrinter",
     "TRACE_FILENAME",
     "TRACE_SCHEMA",
     "TraceContext",

@@ -8,6 +8,12 @@ dicts (:meth:`TraceContext.to_wire`): the farm puts one into each
 into every ``shard.json``, so a worker subprocess (or a remote ``eric
 worker``) parents its spans under the dispatching run.
 
+The tracer is also the stack's one event channel.  Sinks registered
+with :meth:`Tracer.add_sink` receive every finished span and every
+:meth:`Tracer.event` — a stage observed without a span of its own —
+as a :class:`SpanRecord`.  Spans persist when the tracer is
+file-backed; events only ever reach sinks.
+
 Persistence follows the append-only log discipline of
 :mod:`repro.jsonlog`, keyed by span ID.  Every span is written twice —
 once at start (``end_s`` null) and once at finish — so a crash leaves
@@ -30,7 +36,7 @@ from pathlib import Path
 from typing import Iterable
 
 from repro.jsonlog import append_lines, scan_lines
-from repro.obs.metrics import format_duration
+from repro.obs.metrics import METRICS, format_duration
 
 TRACE_FILENAME = "trace.jsonl"
 TRACE_SCHEMA = 1
@@ -100,8 +106,9 @@ class Span:
         }
 
     def finish(self, ok: bool = True, detail: str = "") -> None:
-        """Close the span and persist its final record (idempotent —
-        a second finish is a no-op, not a duplicate line)."""
+        """Close the span, persist its final record and hand it to the
+        sinks (idempotent — a second finish is a no-op, not a duplicate
+        line)."""
         if self.end_s is not None:
             return
         self.end_s = time.time()
@@ -112,11 +119,19 @@ class Span:
 
 
 class Tracer:
-    """Creates spans and persists them to ``<root>/trace.jsonl``.
+    """Creates spans and delivers them, with events, to sinks.
 
-    ``root=None`` keeps finished spans in memory only (:attr:`spans`)
-    — tests and ad-hoc use.  File appends are whole lines under a lock,
+    ``root`` makes the tracer file-backed: spans persist to
+    ``<root>/trace.jsonl``.  ``root=None`` keeps nothing — the default
+    for every layer of the stack, which always holds a tracer and
+    emits only through it.  File appends are whole lines under a lock,
     so concurrent threads *and* processes interleave whole lines.
+
+    A sink is any callable taking a :class:`SpanRecord`.  A sink that
+    raises is isolated and counted on the process-wide
+    ``telemetry.sink_errors`` metric; sinks may be added while others
+    are being called (each record reaches the sinks present when it
+    was delivered).
     """
 
     def __init__(self, root: str | Path | None = None) -> None:
@@ -126,8 +141,26 @@ class Tracer:
             root.mkdir(parents=True, exist_ok=True)
             self.path = root / TRACE_FILENAME
         self._lock = threading.Lock()
-        #: finished-span dicts observed by this tracer instance
-        self.spans: list[dict] = []
+        self._sinks: tuple = ()
+
+    def add_sink(self, sink) -> None:
+        """Deliver every later finished span and event to ``sink``."""
+        with self._lock:
+            self._sinks += (sink,)
+
+    def event(self, name: str, seconds: float = 0.0, *, ok: bool = True,
+              detail: str = "", attrs: dict | None = None) -> None:
+        """Hand a stage that has no span of its own to the sinks: a
+        record ending now and lasting ``seconds``, with no trace
+        coordinates.  Events are never persisted."""
+        sinks = self._sinks
+        if not sinks:
+            return
+        end_s = time.time()
+        _deliver(sinks, SpanRecord(
+            trace_id="", span_id="", parent_id=None, name=name,
+            start_s=end_s - seconds, end_s=end_s, ok=ok, detail=detail,
+            attrs=attrs or {}))
 
     def start(self, name: str,
               parent: "TraceContext | Span | None" = None,
@@ -142,7 +175,8 @@ class Tracer:
                     span_id=uuid.uuid4().hex[:16],
                     parent_id=parent.span_id if parent else None,
                     attrs=attrs)
-        self._write(span.to_dict())
+        if self.path is not None:
+            self._write(span.to_dict())
         return span
 
     @contextmanager
@@ -161,20 +195,33 @@ class Tracer:
         else:
             span.finish()
 
-    # -- persistence -------------------------------------------------------
+    # -- persistence and delivery ------------------------------------------
 
     def _record(self, span: Span) -> None:
-        data = span.to_dict()
-        with self._lock:
-            self.spans.append(data)
-        self._write(data)
+        if self.path is not None:
+            self._write(span.to_dict())
+        sinks = self._sinks
+        if sinks:
+            _deliver(sinks, SpanRecord(
+                trace_id=span.trace_id, span_id=span.span_id,
+                parent_id=span.parent_id, name=span.name,
+                start_s=span.start_s, end_s=span.end_s, ok=span.ok,
+                detail=span.detail, attrs=span.attrs))
 
     def _write(self, data: dict) -> None:
-        if self.path is None:
-            return
         line = _span_line(data)
         with self._lock:
             append_lines(self.path, line)
+
+
+def _deliver(sinks: tuple, record: "SpanRecord") -> None:
+    for sink in sinks:
+        try:
+            sink(record)
+        except Exception:
+            # observability must never take down the stack — but a
+            # broken sink must not fail silently either
+            METRICS.inc("telemetry.sink_errors")
 
 
 def _span_line(data: dict) -> str:
@@ -187,7 +234,9 @@ def _span_line(data: dict) -> str:
 
 @dataclass(frozen=True)
 class SpanRecord:
-    """One span as read back from ``trace.jsonl`` (last record wins)."""
+    """One span as read back from ``trace.jsonl`` (last record wins),
+    and what sinks receive for each finished span and each event (an
+    event's IDs are empty)."""
 
     trace_id: str
     span_id: str

@@ -1,15 +1,19 @@
 """repro.service — fleet-scale deployment on top of the core flow.
 
 * :mod:`repro.service.session`   — :class:`DeploymentSession`: registry +
-  compiler + artifact cache + telemetry behind ``deploy``,
-  ``deploy_fleet`` and ``package_for``
+  compiler + artifact cache + a tracer for its stage events behind
+  ``deploy``, ``deploy_fleet`` and ``package_for``
 * :mod:`repro.service.cache`     — thread-safe LRU of device-independent
   compiled artifacts with hit/miss statistics
 * :mod:`repro.service.scheduler` — the asyncio service layer:
   :class:`AsyncDeploymentSession` (coroutine session API, single-flight
   compiles) and :class:`FleetScheduler` (many concurrent fleets
   multiplexed over one artifact cache and one farm/store pair)
-* :mod:`repro.service.telemetry` — per-stage observability hooks
+
+Every layer observes its stages through one
+:class:`~repro.obs.trace.Tracer`, shared down the stack (daemon →
+scheduler → session and farm); attach sinks from :mod:`repro.obs.sinks`
+with ``tracer.add_sink``.
 
 The split this package rides on lives in
 :mod:`repro.core.compiler_driver`: ``prepare()`` (compile + sign +
@@ -21,13 +25,10 @@ from repro.service.cache import ArtifactCache, CacheStats
 from repro.service.session import (ChannelFactory, DeploymentSession,
                                    FleetDeploymentReport,
                                    FleetDeviceOutcome, build_fleet_report)
-from repro.service.telemetry import (RecordingTelemetry, StagePrinter,
-                                     TelemetryEvent, TelemetryHub)
 
-#: Scheduler names resolve lazily (PEP 562): repro.farm's telemetry
-#: import runs this package's __init__, and the scheduler module
-#: imports repro.farm back — importing it eagerly here would close
-#: that cycle mid-initialization.
+#: Scheduler names resolve lazily (PEP 562): the scheduler module
+#: imports asyncio, and importing it eagerly here would pull asyncio
+#: into every ``import repro``.
 _SCHEDULER_EXPORTS = frozenset({
     "AsyncDeploymentSession", "AsyncSingleFlight", "FleetRequest",
     "FleetScheduler", "FleetServiceReport", "SchedulerReport",
@@ -55,11 +56,7 @@ __all__ = [
     "FleetRequest",
     "FleetScheduler",
     "FleetServiceReport",
-    "RecordingTelemetry",
     "SchedulerReport",
-    "StagePrinter",
-    "TelemetryEvent",
-    "TelemetryHub",
     "build_fleet_report",
     "load_fleet_specs",
 ]

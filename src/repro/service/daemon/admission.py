@@ -12,7 +12,8 @@ retry-after hint in the error), per the policy's ``overflow`` knob.
 
 Decisions are pure functions of (record, observed load), so tests
 exercise the policy without a daemon, and the daemon emits exactly one
-``daemon.admit`` / ``daemon.reject`` telemetry span per decision.
+``daemon.admit`` / ``daemon.reject`` event per decision on its tracer
+(events reach the tracer's sinks; they are never persisted).
 """
 
 from __future__ import annotations

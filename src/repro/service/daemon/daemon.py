@@ -27,10 +27,13 @@ submit`` appends a ``submitted`` record and the daemon's poll loop
 picks it up — the journal is the seam that decouples request intake
 from the delivery pipeline.
 
-Telemetry spans: ``daemon.admit``, ``daemon.resume``, ``daemon.reject``
-(covers both deferrals and rejections), ``daemon.checkpoint``,
-``daemon.request`` (terminal outcomes), and ``daemon.serve`` (one per
-:meth:`ServeDaemon.run`).
+Observability rides the scheduler's tracer.  Each served request is
+a root ``daemon.request`` span (persisted when the tracer is
+file-backed; its detail names the request, its state and its counts).
+Every other stage is an event that reaches the tracer's sinks only:
+``daemon.admit``, ``daemon.resume``, ``daemon.reject`` (covers both
+deferrals and rejections), ``daemon.checkpoint``, and ``daemon.serve``
+(one per :meth:`ServeDaemon.run`).
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from repro.service.daemon.admission import (REJECT, AdmissionController,
 from repro.service.daemon.journal import (LIVE_STATES, TERMINAL_STATES,
                                           JournalRecord, JournalStore)
 from repro.service.scheduler import FleetRequest, FleetScheduler
-from repro.service.telemetry import TelemetryEvent, TelemetryHub
 
 
 def _priority_order(records) -> list[JournalRecord]:
@@ -119,7 +121,7 @@ class ServeDaemon:
             from scratch, which tests use for speed).
         scheduler: an explicit scheduler (exclusive with ``store`` /
             ``jobs`` / ``shards``); must expose ``measure``,
-            ``on_event``, ``batch_reports``, and ``aclose``.
+            ``tracer``, ``batch_reports``, and ``aclose``.
         policy: admission policy (default :class:`AdmissionPolicy`).
         jobs / shards / shard_root: farm knobs for the built-in
             scheduler (as :class:`FleetScheduler`).
@@ -130,13 +132,13 @@ class ServeDaemon:
             journal growth trade-off).
         poll_interval: seconds between journal re-reads when idle —
             the out-of-process submission pickup latency.
-        telemetry: optional initial sink for ``daemon.*`` spans plus
-            the scheduler's own stages.
-        tracer: optional :class:`~repro.obs.trace.Tracer` shared with
-            the built-in scheduler; every served request becomes a
-            **root** ``daemon.request`` span whose context flows down
-            scheduler → farm → worker subprocesses (one connected
-            trace per request).  Exclusive with ``scheduler`` — an
+        tracer: the :class:`~repro.obs.trace.Tracer` of the built-in
+            scheduler (a memory-only one if not given), shared down
+            the stack; every served request becomes a **root**
+            ``daemon.request`` span whose context flows down scheduler
+            → farm → worker subprocesses (one connected trace per
+            request).  Its sinks see the ``daemon.*`` stages plus the
+            scheduler's own.  Exclusive with ``scheduler`` — an
             explicit scheduler brings its own tracer.
         metrics_interval: seconds between periodic
             :meth:`~repro.obs.metrics.MetricsRegistry.dump` snapshots
@@ -149,7 +151,7 @@ class ServeDaemon:
                  policy: AdmissionPolicy | None = None, jobs: int = 1,
                  shards: int = 0, shard_root=None, max_active: int = 4,
                  checkpoint_every: int = 8, poll_interval: float = 0.25,
-                 telemetry=None, tracer: Tracer | None = None,
+                 tracer: Tracer | None = None,
                  metrics_interval: float = 5.0) -> None:
         if scheduler is not None and (store is not None or shards
                                       or tracer is not None):
@@ -168,16 +170,12 @@ class ServeDaemon:
         self.scheduler = scheduler if scheduler is not None else \
             FleetScheduler(store=store, jobs=jobs, shards=shards,
                            shard_root=shard_root, tracer=tracer)
-        self.tracer = tracer if scheduler is None \
-            else getattr(scheduler, "tracer", None)
+        self.tracer = self.scheduler.tracer
         self.admission = AdmissionController(policy)
         self.max_active = max_active
         self.checkpoint_every = checkpoint_every
         self.poll_interval = poll_interval
         self.metrics_interval = metrics_interval
-        self._telemetry = TelemetryHub()
-        if telemetry is not None:
-            self.on_event(telemetry)
         #: high-water mark of the watermark-bounded pending-jobs count
         self.peak_pending_jobs = 0
         self._stop_flag = False
@@ -195,19 +193,6 @@ class ServeDaemon:
         # (set via call_soon_threadsafe) may lag until the loop yields
         return self._stop_flag \
             or (self._stop is not None and self._stop.is_set())
-
-    def on_event(self, sink) -> None:
-        """Register a sink for daemon spans *and* the scheduler's
-        (session + farm) stages — one hook observes the whole stack."""
-        self._telemetry.add(sink)
-        self.scheduler.on_event(sink)
-
-    def _emit(self, stage: str, seconds: float = 0.0, *,
-              program: str | None = None, ok: bool = True,
-              detail: str = "") -> None:
-        self._telemetry.emit(TelemetryEvent(
-            stage=stage, seconds=seconds, program=program, ok=ok,
-            detail=detail))
 
     def _count(self, name: str, by: int = 1) -> None:
         self._counts[name] = self._counts.get(name, 0) + by
@@ -320,8 +305,8 @@ class ServeDaemon:
             store_hits=sum(b.hits for b in batches),
             peak_pending_jobs=self.peak_pending_jobs,
             wall_s=wall_s, stopped=stopped)
-        self._emit("daemon.serve", wall_s, ok=report.all_ok,
-                   detail=report.summary())
+        self.tracer.event("daemon.serve", wall_s, ok=report.all_ok,
+                          detail=report.summary())
         return report
 
     async def _wait_for_activity(self, stop_waiter: asyncio.Task) -> None:
@@ -355,12 +340,14 @@ class ServeDaemon:
                 self.journal.transition(record.request_id, "admitted",
                                         done_jobs=record.done_jobs)
             self._count("resumed")
-            self._emit("daemon.resume", program=record.fleet_name,
-                       detail=(f"request {record.request_id} "
-                               f"({record.state} at crash, "
-                               f"attempt {record.attempts}, "
-                               f"{record.done_jobs}/"
-                               f"{record.total_jobs} job(s) done)"))
+            self.tracer.event("daemon.resume",
+                              detail=(f"request {record.request_id} "
+                                      f"({record.state} at crash, "
+                                      f"attempt {record.attempts}, "
+                                      f"{record.done_jobs}/"
+                                      f"{record.total_jobs} job(s) "
+                                      f"done)"),
+                              attrs={"fleet": record.fleet_name})
 
     def _admit(self) -> None:
         """Run admission over submitted requests in priority order."""
@@ -379,29 +366,31 @@ class ServeDaemon:
                     tenant_live.get(record.tenant, 0) + 1
                 self.peak_pending_jobs = max(self.peak_pending_jobs,
                                              pending)
-                self._emit("daemon.admit", program=record.fleet_name,
-                           detail=(f"request {record.request_id} "
-                                   f"priority {record.priority} "
-                                   f"({record.total_jobs} job(s), "
-                                   f"tenant {record.tenant})"))
+                self.tracer.event("daemon.admit",
+                                  detail=(f"request {record.request_id} "
+                                          f"priority {record.priority} "
+                                          f"({record.total_jobs} job(s), "
+                                          f"tenant {record.tenant})"),
+                                  attrs={"fleet": record.fleet_name})
             elif decision.action == REJECT:
                 self.journal.transition(
                     record.request_id, "cancelled",
                     error=f"rejected: {decision.describe()}")
                 self._count("rejected")
                 METRICS.inc("admission.rejected")
-                self._emit("daemon.reject", program=record.fleet_name,
-                           ok=False,
-                           detail=(f"request {record.request_id} "
-                                   f"{decision.describe()}"))
+                self.tracer.event("daemon.reject", ok=False,
+                                  detail=(f"request {record.request_id} "
+                                          f"{decision.describe()}"),
+                                  attrs={"fleet": record.fleet_name})
             else:  # deferred: stays submitted, reconsidered next pass
                 if record.request_id not in self._deferred_seen:
                     self._deferred_seen.add(record.request_id)
                     METRICS.inc("admission.deferred")
-                    self._emit("daemon.reject",
-                               program=record.fleet_name,
-                               detail=(f"request {record.request_id} "
-                                       f"{decision.describe()}"))
+                    self.tracer.event(
+                        "daemon.reject",
+                        detail=(f"request {record.request_id} "
+                                f"{decision.describe()}"),
+                        attrs={"fleet": record.fleet_name})
 
     def _dispatch(self, loop: asyncio.AbstractEventLoop) -> None:
         """Start serve tasks for admitted requests, priority first."""
@@ -419,13 +408,11 @@ class ServeDaemon:
         # the request's ROOT span: everything below — scheduler fleet
         # batches, farm sweeps, worker-subprocess jobs — parents under
         # this context, so one submission is one connected trace
-        span = (self.tracer.start("daemon.request",
-                                  attrs={"request_id": request_id,
-                                         "fleet": record.fleet_name,
-                                         "tenant": record.tenant,
-                                         "priority": record.priority})
-                if self.tracer is not None else None)
-        ctx = span.context if span is not None else None
+        span = self.tracer.start("daemon.request",
+                                 attrs={"request_id": request_id,
+                                        "fleet": record.fleet_name,
+                                        "tenant": record.tenant,
+                                        "priority": record.priority})
         try:
             request = FleetRequest.from_spec(record.fleet)
         except EricError as exc:
@@ -447,31 +434,27 @@ class ServeDaemon:
                     self.journal.transition(request_id, "admitted",
                                             done_jobs=len(results))
                     self._count("checkpointed")
-                    if span is not None:
-                        span.finish(detail=(
-                            f"checkpointed at {len(results)}/"
-                            f"{len(jobs)} job(s)"))
-                    self._emit(
-                        "daemon.checkpoint", program=record.fleet_name,
+                    self.tracer.event(
+                        "daemon.checkpoint",
                         detail=(f"request {request_id} journaled for "
                                 f"resume at {len(results)}/"
-                                f"{len(jobs)} job(s)"))
+                                f"{len(jobs)} job(s)"),
+                        attrs={"fleet": record.fleet_name})
+                    span.finish(detail=(f"request {request_id} "
+                                        f"checkpointed at {len(results)}/"
+                                        f"{len(jobs)} job(s)"))
                     return
                 chunk = jobs[at:at + self.checkpoint_every]
-                # trace_parent passed only when tracing: stand-in
-                # schedulers (tests) need not grow the keyword
-                measured = await (
-                    self.scheduler.measure(chunk, trace_parent=ctx)
-                    if ctx is not None
-                    else self.scheduler.measure(chunk))
-                results.extend(measured)
+                results.extend(await self.scheduler.measure(
+                    chunk, trace_parent=span.context))
                 if len(results) < len(jobs):
                     self.journal.transition(request_id, "running",
                                             done_jobs=len(results))
-                    self._emit(
-                        "daemon.checkpoint", program=record.fleet_name,
+                    self.tracer.event(
+                        "daemon.checkpoint",
                         detail=(f"request {request_id} at "
-                                f"{len(results)}/{len(jobs)} job(s)"))
+                                f"{len(results)}/{len(jobs)} job(s)"),
+                        attrs={"fleet": record.fleet_name})
         except Exception as exc:  # batch-level failure: this request
             self._finish(request_id, results,  # fails, the loop lives
                          error=f"{type(exc).__name__}: {exc}",
@@ -483,29 +466,21 @@ class ServeDaemon:
                      else None, start=start, span=span)
 
     def _finish(self, request_id: str, results, *, error: str | None,
-                start: float, span=None) -> None:
-        record = self.journal.get(request_id)
-        wall_s = time.perf_counter() - start
+                start: float, span) -> None:
         summary = {
             "jobs": len(results),
             "store_hits": sum(1 for r in results if r.from_store),
             "failures": sum(1 for r in results if not r.ok),
-            "wall_s": wall_s,
+            "wall_s": time.perf_counter() - start,
         }
         state = "failed" if error is not None else "done"
         self.journal.transition(request_id, state, error=error,
                                 result=summary, done_jobs=len(results))
         self._count("failed" if error is not None else "completed")
         METRICS.inc(f"daemon.requests_{state}")
-        if span is not None:
-            span.finish(ok=error is None,
-                        detail=(f"{state}: {summary['jobs']} job(s), "
-                                f"{summary['store_hits']} store "
-                                f"hit(s), {summary['failures']} failed"))
-        self._emit("daemon.request", wall_s, program=record.fleet_name,
-                   ok=error is None,
-                   detail=(f"request {request_id} {state}: "
-                           f"{summary['jobs']} job(s), "
-                           f"{summary['store_hits']} store hit(s), "
-                           f"{summary['failures']} failed"
-                           + (f" — {error}" if error else "")))
+        span.finish(ok=error is None,
+                    detail=(f"request {request_id} {state}: "
+                            f"{summary['jobs']} job(s), "
+                            f"{summary['store_hits']} store hit(s), "
+                            f"{summary['failures']} failed"
+                            + (f" — {error}" if error else "")))

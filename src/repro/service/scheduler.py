@@ -57,7 +57,6 @@ from repro.obs.trace import TraceContext, Tracer
 from repro.service.cache import CacheStats
 from repro.service.session import (DeploymentSession, FleetDeploymentReport,
                                    build_fleet_report)
-from repro.service.telemetry import TelemetryEvent, TelemetryHub
 
 
 class AsyncSingleFlight:
@@ -116,12 +115,13 @@ class AsyncDeploymentSession:
 
     One instance serves one event loop at a time (loop-bound primitives
     are re-created when a new loop first uses the session, so sequential
-    ``asyncio.run()`` calls may reuse it).
+    ``asyncio.run()`` calls may reuse it).  Stage events go to the
+    session's tracer (``session.tracer``).
     """
 
     def __init__(self, session: DeploymentSession | None = None, *,
                  config: EricConfig | None = None,
-                 max_concurrency: int = 8, telemetry=None) -> None:
+                 max_concurrency: int = 8) -> None:
         if session is not None and config is not None:
             raise ConfigError(
                 "pass either an existing session or a config, not both")
@@ -132,12 +132,6 @@ class AsyncDeploymentSession:
         self._flight = AsyncSingleFlight()
         self._semaphore: asyncio.Semaphore | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
-        if telemetry is not None:
-            self.session.on_event(telemetry)
-
-    def on_event(self, sink) -> None:
-        """Register a telemetry sink on the underlying session."""
-        self.session.on_event(sink)
 
     @property
     def cache_stats(self) -> CacheStats:
@@ -211,9 +205,10 @@ class AsyncDeploymentSession:
         report = build_fleet_report(
             name, artifact, outcomes, wall_s,
             cache_hit=not compiled, cache_stats=self.session.cache.stats)
-        self.session._emit(
-            "fleet", wall_s, program=name, ok=report.all_ok,
-            detail=f"{len(report.succeeded)}/{len(outcomes)} ok [async]")
+        self.session.tracer.event(
+            "fleet", wall_s, ok=report.all_ok,
+            detail=f"{len(report.succeeded)}/{len(outcomes)} ok [async]",
+            attrs={"program": name})
         return report
 
     async def aclose(self) -> None:
@@ -421,7 +416,8 @@ class FleetScheduler:
     Args:
         store: the shared result store (None measures in-memory).
         session: deployment session whose artifact cache every fleet
-            shares; a fresh one if not given.
+            shares; a fresh one if not given.  It brings its own
+            tracer, which the scheduler and its farm share.
         config: packaging config for the fresh session (exclusive with
             ``session``).
         jobs: farm worker processes per batch (with ``shards``,
@@ -433,13 +429,16 @@ class FleetScheduler:
         batch_window: seconds the batcher lingers after a request so
             overlapping fleets coalesce into one farm batch.  0 batches
             whatever is queued when the loop gets around to draining.
-        telemetry: optional initial sink (``scheduler.*`` spans plus
-            the session's and farm's own stages).
-        tracer: optional :class:`~repro.obs.trace.Tracer` shared with
-            the farm backend; each executed batch becomes a
+        tracer: the :class:`~repro.obs.trace.Tracer` for the fresh
+            session (exclusive with ``session``; a memory-only one if
+            not given), shared with the farm backend.  Each fleet is a
+            ``scheduler.fleet`` span and each executed batch a
             ``scheduler.batch`` span parented under the first
             requester's context, with the farm sweep (and its jobs,
-            across process boundaries) beneath it.
+            across process boundaries) beneath it; its sinks see those
+            spans, the ``scheduler.fleet.begin`` and
+            ``scheduler.serve`` events, and the session's and farm's
+            own stages.
 
     The dedup guarantee does **not** depend on batching luck: a job key
     is tracked from first request to fan-back, so a fleet asking for a
@@ -458,10 +457,16 @@ class FleetScheduler:
                  config: EricConfig | None = None, jobs: int = 1,
                  shards: int = 0, shard_root=None,
                  max_concurrency: int = 8, batch_window: float = 0.02,
-                 telemetry=None, tracer: Tracer | None = None) -> None:
+                 tracer: Tracer | None = None) -> None:
         if batch_window < 0:
             raise ConfigError("batch_window must be non-negative")
-        self.tracer = tracer
+        if session is None:
+            session = DeploymentSession(config, tracer=tracer)
+        elif config is not None or tracer is not None:
+            raise ConfigError("pass either an existing session or "
+                              "config/tracer knobs, not both: a "
+                              "session brings its own")
+        self.tracer = session.tracer
         if shards:
             if store is None:
                 raise ConfigError("sharded scheduling merges shard "
@@ -469,18 +474,14 @@ class FleetScheduler:
             self.farm = FarmCoordinator(store=store, shards=shards,
                                         jobs_per_shard=jobs,
                                         shard_root=shard_root,
-                                        tracer=tracer)
+                                        tracer=self.tracer)
         else:
             self.farm = SimulationFarm(store=store, jobs=jobs,
-                                       tracer=tracer)
+                                       tracer=self.tracer)
         self.store = store
         self.batch_window = batch_window
         self.async_session = AsyncDeploymentSession(
-            session=session, config=config,
-            max_concurrency=max_concurrency)
-        self._telemetry = TelemetryHub()
-        if telemetry is not None:
-            self.on_event(telemetry)
+            session, max_concurrency=max_concurrency)
         #: every batch the shared queue has executed (all serves)
         self.batch_reports: list[FarmReport] = []
         #: resolved outcomes by job key when there is no store — the
@@ -499,20 +500,6 @@ class FleetScheduler:
         self._pending: list[tuple[tuple[str, bool], JobSpec,
                                   TraceContext | None]] = []
         self._inflight: dict[tuple[str, bool], asyncio.Future] = {}
-
-    def on_event(self, sink) -> None:
-        """Register a sink for scheduler spans *and* the underlying
-        session/farm stages — one hook observes the whole stack."""
-        self._telemetry.add(sink)
-        self.async_session.on_event(sink)
-        self.farm.on_event(sink)
-
-    def _emit(self, stage: str, seconds: float = 0.0, *,
-              program: str | None = None, ok: bool = True,
-              detail: str = "") -> None:
-        self._telemetry.emit(TelemetryEvent(
-            stage=stage, seconds=seconds, program=program, ok=ok,
-            detail=detail))
 
     # -- the shared batch queue -------------------------------------------
 
@@ -610,45 +597,34 @@ class FleetScheduler:
                                            TraceContext | None]],
                          force: bool) -> None:
         loop = asyncio.get_running_loop()
-        start = time.perf_counter()
         specs = [spec for _, spec, _ in batch]
-        span = None
-        if self.tracer is not None:
-            # parent under the first requester that carried a context —
-            # a batch mixing traced and untraced requesters still gets
-            # one span (the co-tenants show up in its job count)
-            parent = next((ctx for _, _, ctx in batch
-                           if ctx is not None), None)
-            span = self.tracer.start("scheduler.batch", parent=parent,
-                                     attrs={"jobs": len(batch),
-                                            "forced": force})
-        # untraced runs keep the two-arg run_batch call so stand-in
-        # farms (tests) need not grow the trace parameter
-        call = (partial(self.farm.run_batch, specs, force, span.context)
-                if span is not None
-                else partial(self.farm.run_batch, specs, force))
+        # parent under the first requester that carried a context — a
+        # batch mixing co-tenants still gets one span (the others show
+        # up in its job count)
+        parent = next((ctx for _, _, ctx in batch if ctx is not None),
+                      None)
+        span = self.tracer.start("scheduler.batch", parent=parent,
+                                 attrs={"jobs": len(batch),
+                                        "forced": force})
         try:
-            report, outcomes = await loop.run_in_executor(None, call)
+            report, outcomes = await loop.run_in_executor(
+                None, self.farm.run_batch, specs, force, span.context)
         except Exception as exc:  # farm/store failure: fail the batch,
             error = EricError(                # never the batcher itself
                 f"farm batch of {len(batch)} job(s) failed: "
                 f"{type(exc).__name__}: {exc}")
-            if span is not None:
-                span.finish(ok=False, detail=str(error))
+            span.finish(ok=False, detail=str(error))
             for flight, _, _ in batch:
                 future = self._inflight.pop(flight, None)
                 if future is not None and not future.done():
                     future.set_exception(error)
             return
         self.batch_reports.append(report)
-        detail = (f"{len(batch)} unique job(s): {report.hits} "
-                  f"hit(s), {report.executed} executed, "
-                  f"{len(report.failures)} failed"
-                  + (" [forced]" if force else ""))
-        if span is not None:
-            span.finish(ok=not report.failures, detail=detail)
-        self._emit("scheduler.batch", time.perf_counter() - start,
-                   ok=not report.failures, detail=detail)
+        span.finish(ok=not report.failures,
+                    detail=(f"{len(batch)} unique job(s): {report.hits} "
+                            f"hit(s), {report.executed} executed, "
+                            f"{len(report.failures)} failed"
+                            + (" [forced]" if force else "")))
         for flight, spec, _ in batch:
             key = flight[0]
             future = self._inflight.pop(flight, None)
@@ -675,39 +651,30 @@ class FleetScheduler:
                            ) -> FleetServiceReport:
         """Serve one fleet: prepare its artifacts (coalesced across all
         in-flight fleets), then measure its jobs through the shared
-        batch queue.  With a tracer the fleet is a ``scheduler.fleet``
-        span — parented under ``trace_parent`` (e.g. a daemon request's
-        root span) — whose context rides into the shared batch."""
+        batch queue.  The fleet is a ``scheduler.fleet`` span —
+        parented under ``trace_parent`` (e.g. a daemon request's root
+        span) — whose context rides into the shared batch."""
         request.validate()
         start = time.perf_counter()
-        span = (self.tracer.start("scheduler.fleet", parent=trace_parent,
-                                  attrs={"fleet": request.name,
-                                         "jobs": len(request.jobs)})
-                if self.tracer is not None else None)
-        self._emit("scheduler.fleet.begin", program=request.name,
-                   detail=f"{len(request.jobs)} job(s)")
+        span = self.tracer.start("scheduler.fleet", parent=trace_parent,
+                                 attrs={"fleet": request.name,
+                                        "jobs": len(request.jobs)})
+        self.tracer.event("scheduler.fleet.begin",
+                          detail=f"{len(request.jobs)} job(s)",
+                          attrs={"fleet": request.name})
         try:
             artifacts = await self._prepare_artifacts(request, force)
-            results = await self.measure(
-                request.jobs, force=force,
-                trace_parent=span.context if span else trace_parent)
+            results = await self.measure(request.jobs, force=force,
+                                         trace_parent=span.context)
         except BaseException as exc:
-            if span is not None:
-                span.finish(ok=False,
-                            detail=f"{type(exc).__name__}: {exc}")
+            span.finish(ok=False, detail=f"{type(exc).__name__}: {exc}")
             raise
-        wall_s = time.perf_counter() - start
         report = FleetServiceReport(
-            name=request.name, results=results, wall_s=wall_s,
-            artifacts=artifacts)
-        if span is not None:
-            span.finish(ok=report.ok,
-                        detail=(f"{report.store_hits} store hit(s), "
-                                f"{len(report.failures)} failed"))
-        self._emit("scheduler.fleet.end", wall_s, program=request.name,
-                   ok=report.ok,
-                   detail=(f"{report.store_hits} store hit(s), "
-                           f"{len(report.failures)} failed"))
+            name=request.name, results=results,
+            wall_s=time.perf_counter() - start, artifacts=artifacts)
+        span.finish(ok=report.ok,
+                    detail=(f"{report.store_hits} store hit(s), "
+                            f"{len(report.failures)} failed"))
         return report
 
     def _is_measured(self, spec: JobSpec) -> bool:
@@ -768,11 +735,11 @@ class FleetScheduler:
             cache_stats=self.async_session.cache_stats,
             store_path=(str(self.store.path) if self.store is not None
                         else None))
-        self._emit("scheduler.serve", wall_s, ok=report.all_ok,
-                   detail=(f"{len(fleets)} fleet(s): "
-                           f"{report.requested} requested, "
-                           f"{report.executed} executed, "
-                           f"{report.store_hits} store hit(s)"))
+        self.tracer.event("scheduler.serve", wall_s, ok=report.all_ok,
+                          detail=(f"{len(fleets)} fleet(s): "
+                                  f"{report.requested} requested, "
+                                  f"{report.executed} executed, "
+                                  f"{report.store_hits} store hit(s)"))
         return report
 
     async def aclose(self) -> None:

@@ -17,6 +17,11 @@ Per-device failures inside :meth:`DeploymentSession.deploy_fleet` are
 isolated: a device that rejects its package (``ValidationError``) marks
 its own :class:`FleetDeviceOutcome` failed while the rest of the fleet
 proceeds.
+
+Every pipeline stage (``compile``, ``cache.hit``, ``package``,
+``transfer``, ``execute``, ``fleet``) is an event on the session's
+:class:`~repro.obs.trace.Tracer`; attach sinks with
+``session.tracer.add_sink(...)``.
 """
 
 from __future__ import annotations
@@ -35,8 +40,8 @@ from repro.core.provisioning import DeviceRegistry
 from repro.core.workflow import DeploymentResult
 from repro.errors import ConfigError, EricError, ProvisioningError
 from repro.net.channel import UntrustedChannel
+from repro.obs.trace import Tracer
 from repro.service.cache import ArtifactCache, CacheStats
-from repro.service.telemetry import TelemetryEvent, TelemetryHub
 
 #: Builds one transfer channel per deployment (kept per-device in fleet
 #: fan-out so interceptor state is never shared across worker threads).
@@ -163,36 +168,21 @@ class DeploymentSession:
         channel_factory: builds the untrusted transfer channel used per
             deployment (default: a clean :class:`UntrustedChannel`).
         cache_size: maximum cached artifacts (None = unbounded).
-        telemetry: optional initial telemetry sink (see
-            :mod:`repro.service.telemetry`); more via :meth:`on_event`.
+        tracer: the :class:`~repro.obs.trace.Tracer` the stage events
+            go to; a fresh memory-only one if not given.
     """
 
     def __init__(self, config: EricConfig | None = None, *,
                  registry: DeviceRegistry | None = None,
                  channel_factory: ChannelFactory | None = None,
                  cache_size: int | None = 64,
-                 telemetry=None) -> None:
+                 tracer: Tracer | None = None) -> None:
         self.config = (config or EricConfig()).validate()
         self.registry = registry or DeviceRegistry()
         self.compiler = EricCompiler(self.config)
         self.channel_factory = channel_factory or UntrustedChannel
         self.cache = ArtifactCache(max_entries=cache_size)
-        self._telemetry = TelemetryHub()
-        if telemetry is not None:
-            self._telemetry.add(telemetry)
-
-    # -- observability ----------------------------------------------------
-
-    def on_event(self, sink) -> None:
-        """Register a telemetry sink called once per pipeline stage."""
-        self._telemetry.add(sink)
-
-    def _emit(self, stage: str, seconds: float = 0.0, *,
-              device_id: str | None = None, program: str | None = None,
-              ok: bool = True, detail: str = "") -> None:
-        self._telemetry.emit(TelemetryEvent(
-            stage=stage, seconds=seconds, device_id=device_id,
-            program=program, ok=ok, detail=detail))
+        self.tracer = tracer if tracer is not None else Tracer()
 
     @property
     def cache_stats(self) -> CacheStats:
@@ -236,10 +226,11 @@ class DeploymentSession:
         artifact = self.cache.get_or_build(digest, name, config, build)
         # emitted after get_or_build: sinks may inspect cache_stats
         if built:
-            self._emit("compile", built[0], program=name,
-                       detail=digest[:12])
+            self.tracer.event("compile", built[0], detail=digest[:12],
+                              attrs={"program": name})
         else:
-            self._emit("cache.hit", program=name, detail=digest[:12])
+            self.tracer.event("cache.hit", detail=digest[:12],
+                              attrs={"program": name})
         return artifact, bool(built)
 
     # -- per-device stages ------------------------------------------------
@@ -273,29 +264,30 @@ class DeploymentSession:
                        target_key: bytes) -> EricCompileResult:
         start = time.perf_counter()
         result = self.compiler.package_artifact(artifact, target_key)
-        self._emit("package", time.perf_counter() - start,
-                   device_id=device_id, program=artifact.name)
+        self.tracer.event("package", time.perf_counter() - start,
+                          attrs={"program": artifact.name,
+                                 "device_id": device_id})
         return result
 
     def _ship_and_run(self, result: EricCompileResult, device: Device,
                       channel: UntrustedChannel, name: str,
                       max_instructions: int) -> DeploymentResult:
+        attrs = {"program": name, "device_id": device.device_id}
         start = time.perf_counter()
         delivered = channel.transfer(result.package_bytes)
-        self._emit("transfer", time.perf_counter() - start,
-                   device_id=device.device_id, program=name)
+        self.tracer.event("transfer", time.perf_counter() - start,
+                          attrs=attrs)
 
         start = time.perf_counter()
         try:
             run_result = device.load_and_run(
                 delivered, max_instructions=max_instructions)
         except EricError as exc:
-            self._emit("execute", time.perf_counter() - start,
-                       device_id=device.device_id, program=name,
-                       ok=False, detail=str(exc))
+            self.tracer.event("execute", time.perf_counter() - start,
+                              ok=False, detail=str(exc), attrs=attrs)
             raise
-        self._emit("execute", time.perf_counter() - start,
-                   device_id=device.device_id, program=name)
+        self.tracer.event("execute", time.perf_counter() - start,
+                          attrs=attrs)
         return DeploymentResult(compile_result=result,
                                 delivered_bytes=delivered,
                                 run_result=run_result)
@@ -365,6 +357,8 @@ class DeploymentSession:
         report = build_fleet_report(
             name, artifact, outcomes, wall_s,
             cache_hit=not compiled, cache_stats=self.cache.stats)
-        self._emit("fleet", wall_s, program=name, ok=report.all_ok,
-                   detail=f"{len(report.succeeded)}/{len(outcomes)} ok")
+        self.tracer.event(
+            "fleet", wall_s, ok=report.all_ok,
+            detail=f"{len(report.succeeded)}/{len(outcomes)} ok",
+            attrs={"program": name})
         return report

@@ -7,7 +7,7 @@ from repro.farm import (DYNAMIC_ATTACKER_SEEDS, JobMatrix, JobSpec,
                         ResultStore, SimParams, SimulationFarm,
                         execute_job)
 from repro.puf.environment import Environment
-from repro.service.telemetry import RecordingTelemetry
+from repro.obs.sinks import RecordingTelemetry
 from repro.soc.soc import RunResult
 
 HELLO = 'int main() { print_int(41); print_char(10); return 0; }\n'
@@ -277,9 +277,10 @@ class TestObservability:
         sink = RecordingTelemetry()
         seen = []
         farm = SimulationFarm(
-            store=ResultStore(tmp_path), telemetry=sink,
+            store=ResultStore(tmp_path),
             progress=lambda done, total, result:
                 seen.append((done, total, result.from_store)))
+        farm.tracer.add_sink(sink)
         farm.run(hello_matrix())
         assert len(sink.stages("farm.job")) == 2
         [sweep] = sink.stages("farm.sweep")

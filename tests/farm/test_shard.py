@@ -299,10 +299,10 @@ class TestCoordinator:
                                       shard_root=tmp_path / "shards")
         real_dispatch = coordinator._dispatch
 
-        def dying_dispatch(plan, force):
+        def dying_dispatch(plan, force, trace):
             # workers complete and persist normally, but shard 0's
             # outcome is lost as if its process died at the very end
-            outcomes = real_dispatch(plan, force)
+            outcomes = real_dispatch(plan, force, trace)
             return [
                 outcome if outcome.index != 0 else ShardOutcome(
                     index=0, store_dir=outcome.store_dir, executed=0,
@@ -340,14 +340,15 @@ class TestCoordinator:
             FarmCoordinator(store=ResultStore(tmp_path)).run([])
 
     def test_telemetry_and_progress(self, tmp_path):
-        from repro.service.telemetry import RecordingTelemetry
+        from repro.obs.sinks import RecordingTelemetry
 
         sink = RecordingTelemetry()
         seen = []
         coordinator = FarmCoordinator(
-            store=ResultStore(tmp_path), shards=2, telemetry=sink,
+            store=ResultStore(tmp_path), shards=2,
             progress=lambda done, total, result:
                 seen.append((done, total, result.from_store)))
+        coordinator.tracer.add_sink(sink)
         coordinator.run(MATRIX)
         assert len(sink.stages("farm.shard")) == 2
         [sweep] = sink.stages("farm.sweep")

@@ -2,6 +2,7 @@
 
 import json
 
+from repro.obs.sinks import RecordingTelemetry
 from repro.obs.trace import (TRACE_FILENAME, TRACE_SCHEMA, TraceContext,
                              Tracer, build_trees, diagnose_trace,
                              merge_trace_files, read_trace, render_traces)
@@ -47,14 +48,34 @@ class TestTracer:
 
     def test_context_manager_marks_failure_with_exception_detail(self):
         tracer = Tracer()
+        recorder = RecordingTelemetry()
+        tracer.add_sink(recorder)
         try:
             with tracer.span("boom"):
                 raise RuntimeError("pipeline meltdown")
         except RuntimeError:
             pass
-        (record,) = tracer.spans
-        assert record["ok"] is False
-        assert record["detail"] == "RuntimeError: pipeline meltdown"
+        (record,) = recorder.snapshot()
+        assert record.ok is False
+        assert record.detail == "RuntimeError: pipeline meltdown"
+
+    def test_events_reach_sinks_but_never_persist(self, tmp_path):
+        tracer = Tracer(tmp_path)
+        recorder = RecordingTelemetry()
+        tracer.add_sink(recorder)
+        tracer.event("compile", 0.25, detail="3b8214ca",
+                     attrs={"program": "crc32"})
+        with tracer.span("farm.sweep"):
+            pass
+        event, span = recorder.snapshot()
+        assert (event.name, event.detail, event.attrs) \
+            == ("compile", "3b8214ca", {"program": "crc32"})
+        assert event.span_id == "" and event.parent_id is None
+        assert abs(event.duration_s - 0.25) < 1e-3
+        assert span.name == "farm.sweep" and span.span_id
+        # the span was written at start and finish; the event never
+        assert [line["name"] for line in read_lines(tracer.path)] \
+            == ["farm.sweep", "farm.sweep"]
 
     def test_memory_tracer_writes_no_file(self, tmp_path):
         tracer = Tracer()
@@ -173,9 +194,11 @@ class TestRenderTraces:
     def test_prefix_filter_and_empty_messages(self, tmp_path):
         assert render_traces(tmp_path) == "no traces recorded"
         tracer = Tracer(tmp_path)
+        recorder = RecordingTelemetry()
+        tracer.add_sink(recorder)
         with tracer.span("a"):
             pass
-        trace_id = tracer.spans[0]["trace_id"]
+        trace_id = recorder.snapshot()[0].trace_id
         assert "a  (" in render_traces(tmp_path, trace_id=trace_id[:8])
         assert render_traces(tmp_path, trace_id="zzzz") == \
             "no matching trace found"

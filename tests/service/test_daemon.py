@@ -10,7 +10,8 @@ from repro.farm import ResultStore
 from repro.service.daemon import (AdmissionController, AdmissionPolicy,
                                   JournalStore, ServeDaemon,
                                   submit_fleets)
-from repro.service.telemetry import RecordingTelemetry
+from repro.obs.sinks import RecordingTelemetry
+from repro.obs.trace import Tracer
 
 PROBE = "int main() { return 0; }\n"
 
@@ -39,12 +40,13 @@ class FakeScheduler:
     """Stands in for FleetScheduler: instant, order-recording."""
 
     def __init__(self, fail_names=(), hook=None):
+        self.tracer = Tracer()
         self.batch_reports = []
         self.served = []  # display_name per job, in measure order
         self.fail_names = set(fail_names)
         self.hook = hook  # async callback before each measure returns
 
-    async def measure(self, specs, force=False):
+    async def measure(self, specs, force=False, trace_parent=None):
         results = []
         for spec in specs:
             self.served.append(spec.display_name)
@@ -56,9 +58,6 @@ class FakeScheduler:
         if self.hook is not None:
             await self.hook(specs)
         return results
-
-    def on_event(self, sink):
-        pass
 
     async def aclose(self):
         pass
@@ -141,7 +140,8 @@ class TestServeDaemon:
         daemon = ServeDaemon(
             journal, scheduler=FakeScheduler(),
             policy=AdmissionPolicy(max_pending_jobs=2),
-            max_active=1, telemetry=telemetry)
+            max_active=1)
+        daemon.tracer.add_sink(telemetry)
         report = run_once(daemon)
         # every fleet still completes, but never more than the
         # watermark's worth of jobs was admitted at once
@@ -159,8 +159,8 @@ class TestServeDaemon:
         daemon = ServeDaemon(
             journal, scheduler=FakeScheduler(),
             policy=AdmissionPolicy(tenant_quota=1, overflow="reject",
-                                   retry_after_s=5.0),
-            telemetry=telemetry)
+                                   retry_after_s=5.0))
+        daemon.tracer.add_sink(telemetry)
         report = run_once(daemon)
         assert report.rejected == 1 and report.completed == 1
         cancelled = journal.by_state("cancelled")
@@ -175,8 +175,8 @@ class TestServeDaemon:
                                            fleet("bad", [2])]})
         telemetry = RecordingTelemetry()
         daemon = ServeDaemon(journal,
-                             scheduler=FakeScheduler(fail_names={"bad"}),
-                             telemetry=telemetry)
+                             scheduler=FakeScheduler(fail_names={"bad"}))
+        daemon.tracer.add_sink(telemetry)
         report = run_once(daemon)
         assert report.completed == 1 and report.failed == 1
         assert not report.all_ok
@@ -207,7 +207,8 @@ class TestServeDaemon:
 
         scheduler = FakeScheduler(hook=stop_after_first_chunk)
         daemon = ServeDaemon(journal, scheduler=scheduler,
-                             checkpoint_every=1, telemetry=telemetry)
+                             checkpoint_every=1)
+        daemon.tracer.add_sink(telemetry)
         report = run_once(daemon)
         assert report.stopped and report.checkpointed == 1
         leftover = journal.records()[0]
@@ -216,11 +217,14 @@ class TestServeDaemon:
         checkpoints = telemetry.stages("daemon.checkpoint")
         assert any("journaled for resume" in e.detail
                    for e in checkpoints)
+        # the request span ends at the checkpoint, and says so
+        [request] = telemetry.stages("daemon.request")
+        assert request.ok and "checkpointed at 1/3" in request.detail
         # a fresh daemon replays the checkpointed request to done
         resumed = RecordingTelemetry()
         daemon2 = ServeDaemon(JournalStore(tmp_path),
-                              scheduler=FakeScheduler(),
-                              telemetry=resumed)
+                              scheduler=FakeScheduler())
+        daemon2.tracer.add_sink(resumed)
         report2 = run_once(daemon2)
         assert report2.resumed == 1 and report2.completed == 1
         assert resumed.stages("daemon.resume")

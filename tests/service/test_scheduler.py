@@ -8,11 +8,12 @@ from repro.core.device import Device
 from repro.errors import ConfigError, EricError, ProvisioningError
 from repro.farm import (FarmJobResult, FarmReport, ResultStore,
                         SimulationFarm)
+from repro.obs.sinks import RecordingTelemetry
+from repro.obs.trace import Tracer
 from repro.service.scheduler import (AsyncDeploymentSession,
                                      AsyncSingleFlight, FleetRequest,
                                      FleetScheduler, load_fleet_specs)
 from repro.service.session import DeploymentSession
-from repro.service.telemetry import RecordingTelemetry
 
 PROBE = "int main() { return 0; }\n"
 
@@ -21,6 +22,13 @@ def probe_fleet(name: str, seeds, source: str = PROBE) -> dict:
     return {"name": name,
             "programs": [{"name": "probe", "source": source}],
             "device_seeds": list(seeds)}
+
+
+class ExplodingFarm:
+    """Stands in for the farm: every batch raises."""
+
+    def run_batch(self, specs, force=False, trace_parent=None):
+        raise RuntimeError("store melted")
 
 
 class TestAsyncSingleFlight:
@@ -232,13 +240,6 @@ class TestFleetScheduler:
         assert len(report.results) == 1
 
     def test_batch_failure_fans_back_and_batcher_survives(self, tmp_path):
-        class ExplodingFarm:
-            def on_event(self, sink):
-                pass
-
-            def run_batch(self, specs, force=False):
-                raise RuntimeError("store melted")
-
         scheduler = FleetScheduler(store=ResultStore(tmp_path))
         request = FleetRequest.from_spec(probe_fleet("doomed", [7]))
         real_farm = scheduler.farm
@@ -257,6 +258,42 @@ class TestFleetScheduler:
 
         report = asyncio.run(go())
         report.require_ok()
+
+    def test_failed_batch_reaches_sinks(self, tmp_path):
+        """A farm batch that raises fails its ``scheduler.batch`` span
+        and the fleet's ``scheduler.fleet`` span, and sinks see both:
+        no fleet is narrated as begun and never ended."""
+        recorder = RecordingTelemetry()
+        scheduler = FleetScheduler(store=ResultStore(tmp_path))
+        scheduler.tracer.add_sink(recorder)
+        scheduler.farm = ExplodingFarm()
+        request = FleetRequest.from_spec(probe_fleet("doomed", [7]))
+
+        async def go():
+            try:
+                with pytest.raises(EricError,
+                                   match="farm batch of 1 job"):
+                    await scheduler.deploy_fleet(request)
+            finally:
+                await scheduler.aclose()
+
+        asyncio.run(go())
+        [batch] = recorder.stages("scheduler.batch")
+        assert not batch.ok and "store melted" in batch.detail
+        [fleet] = recorder.stages("scheduler.fleet")
+        assert not fleet.ok and fleet.attrs["fleet"] == "doomed"
+
+    def test_one_tracer_is_shared_with_session_and_farm(self):
+        tracer = Tracer()
+        scheduler = FleetScheduler(tracer=tracer)
+        assert scheduler.tracer is tracer
+        assert scheduler.async_session.session.tracer is tracer
+        assert scheduler.farm.tracer is tracer
+        # an explicit session brings its own tracer
+        session = DeploymentSession()
+        assert FleetScheduler(session=session).tracer is session.tracer
+        with pytest.raises(ConfigError, match="not both"):
+            FleetScheduler(session=session, tracer=tracer)
 
     def test_invalid_spec_does_not_poison_the_queue(self):
         """A spec failing validation raises before any shared state is
@@ -363,10 +400,7 @@ class TestFleetScheduler:
         calls = []
 
         class FlakyFarm:
-            def on_event(self, sink):
-                pass
-
-            def run_batch(self, specs, force=False):
+            def run_batch(self, specs, force=False, trace_parent=None):
                 calls.append(len(specs))
                 error = "flaky" if len(calls) == 1 else None
                 results = tuple(
@@ -426,23 +460,23 @@ class TestFleetScheduler:
 
     def test_telemetry_spans(self, tmp_path):
         recorder = RecordingTelemetry()
-        scheduler = FleetScheduler(store=ResultStore(tmp_path),
-                                   telemetry=recorder)
+        scheduler = FleetScheduler(store=ResultStore(tmp_path))
+        scheduler.tracer.add_sink(recorder)
         report = scheduler.run(load_fleet_specs({"fleets": [
             probe_fleet("alpha", [1]),
             probe_fleet("beta", [1, 2]),
         ]}))
         report.require_ok()
         begins = recorder.stages("scheduler.fleet.begin")
-        ends = recorder.stages("scheduler.fleet.end")
-        assert {e.program for e in begins} == {"alpha", "beta"}
-        assert {e.program for e in ends} == {"alpha", "beta"}
+        ends = recorder.stages("scheduler.fleet")
+        assert {e.attrs["fleet"] for e in begins} == {"alpha", "beta"}
+        assert {e.attrs["fleet"] for e in ends} == {"alpha", "beta"}
         # spans nest: every begin precedes its fleet's end
-        order = [(e.stage, e.program) for e in recorder.events
-                 if e.stage.startswith("scheduler.fleet")]
+        order = [(e.name, e.attrs["fleet"]) for e in recorder.events
+                 if e.name.startswith("scheduler.fleet")]
         for name in ("alpha", "beta"):
             assert order.index(("scheduler.fleet.begin", name)) \
-                < order.index(("scheduler.fleet.end", name))
+                < order.index(("scheduler.fleet", name))
         assert recorder.stages("scheduler.batch")
         assert recorder.stages("scheduler.serve")
         # one hook observes the whole stack: farm + session stages too

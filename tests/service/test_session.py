@@ -9,7 +9,7 @@ from repro.errors import ConfigError, ProvisioningError, ValidationError
 from repro.net.channel import BitFlipper, UntrustedChannel
 from repro.service.cache import ArtifactCache
 from repro.service.session import DeploymentSession
-from repro.service.telemetry import RecordingTelemetry
+from repro.obs.sinks import RecordingTelemetry
 
 SOURCE = """
 int main() {
@@ -245,7 +245,8 @@ class TestPackageFor:
 class TestTelemetry:
     def test_stage_events_emitted(self):
         telemetry = RecordingTelemetry()
-        session = DeploymentSession(telemetry=telemetry)
+        session = DeploymentSession()
+        session.tracer.add_sink(telemetry)
         devices = [Device(device_seed=0x800 + i) for i in range(2)]
         session.deploy_fleet(SOURCE, devices)
         assert len(telemetry.stages("compile")) == 1
@@ -260,14 +261,16 @@ class TestTelemetry:
         # regression: compile events were emitted while holding the
         # cache lock, so a sink touching cache_stats deadlocked
         seen = []
-        session = DeploymentSession(
-            telemetry=lambda e: seen.append(session.cache_stats.compiles))
+        session = DeploymentSession()
+        session.tracer.add_sink(
+            lambda record: seen.append(session.cache_stats.compiles))
         session.deploy(SOURCE, Device(device_seed=0xB00))
         assert seen and seen[-1] == 1
 
     def test_broken_sink_is_isolated(self):
-        def broken(event):
+        def broken(record):
             raise RuntimeError("sink crashed")
-        session = DeploymentSession(telemetry=broken)
+        session = DeploymentSession()
+        session.tracer.add_sink(broken)
         result = session.deploy(SOURCE, Device(device_seed=0xA00))
         assert result.exit_code == 9

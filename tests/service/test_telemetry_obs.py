@@ -1,39 +1,48 @@
-"""Telemetry observability hooks: sink errors, snapshots, units."""
+"""Tracer sinks: sink errors, snapshots, units."""
 
 import io
 import threading
 
 from repro.obs.metrics import METRICS
-from repro.service.telemetry import (RecordingTelemetry, StagePrinter,
-                                     TelemetryEvent, TelemetryHub)
+from repro.obs.sinks import RecordingTelemetry, StagePrinter
+from repro.obs.trace import SpanRecord, Tracer
+
+
+def record(name: str, seconds: float = 0.0, detail: str = "",
+           **attrs) -> SpanRecord:
+    return SpanRecord(trace_id="", span_id="", parent_id=None, name=name,
+                      start_s=100.0, end_s=100.0 + seconds, ok=True,
+                      detail=detail, attrs=attrs)
 
 
 class TestSinkErrors:
     def test_raising_sink_is_counted_and_isolated(self):
-        hub = TelemetryHub()
+        tracer = Tracer()
         recorder = RecordingTelemetry()
 
-        def broken(event):
+        def broken(record):
             raise RuntimeError("sink on fire")
 
-        hub.add(broken)
-        hub.add(recorder)
+        tracer.add_sink(broken)
+        tracer.add_sink(recorder)
         before = METRICS.counter("telemetry.sink_errors")
-        for i in range(3):
-            hub.emit(TelemetryEvent(stage="farm.job", detail=str(i)))
+        for i in range(2):
+            tracer.event("farm.job", detail=str(i))
+        with tracer.span("farm.sweep"):
+            pass
         # the healthy sink saw everything; the failures were counted
-        assert [e.detail for e in recorder.snapshot()] == ["0", "1", "2"]
+        assert [r.detail for r in recorder.snapshot()] == ["0", "1", ""]
         assert METRICS.counter("telemetry.sink_errors") - before == 3
 
 
 class TestRecordingTelemetry:
     def test_snapshot_is_a_stable_copy(self):
         recorder = RecordingTelemetry()
-        recorder(TelemetryEvent(stage="a"))
+        recorder(record("a"))
         snap = recorder.snapshot()
-        recorder(TelemetryEvent(stage="b"))
-        assert [e.stage for e in snap] == ["a"]
-        assert [e.stage for e in recorder.snapshot()] == ["a", "b"]
+        recorder(record("b"))
+        assert [r.name for r in snap] == ["a"]
+        assert [r.name for r in recorder.snapshot()] == ["a", "b"]
 
     def test_concurrent_appends_drop_nothing(self):
         recorder = RecordingTelemetry()
@@ -42,7 +51,7 @@ class TestRecordingTelemetry:
         def pound(tid):
             barrier.wait()
             for i in range(500):
-                recorder(TelemetryEvent(stage="t", detail=f"{tid}:{i}"))
+                recorder(record("t", detail=f"{tid}:{i}"))
 
         threads = [threading.Thread(target=pound, args=(tid,))
                    for tid in range(4)]
@@ -54,19 +63,25 @@ class TestRecordingTelemetry:
         assert recorder.total_seconds("t") == 0.0
 
     def test_events_carry_optional_trace_coordinates(self):
-        event = TelemetryEvent(stage="farm.sweep", trace_id="t" * 32,
-                               span_id="s" * 16, attrs={"jobs": 4})
-        assert event.trace_id and event.span_id
-        assert event.attrs == {"jobs": 4}
-        # emitters that predate tracing just leave them None
-        assert TelemetryEvent(stage="old").trace_id is None
+        tracer = Tracer()
+        recorder = RecordingTelemetry()
+        tracer.add_sink(recorder)
+        with tracer.span("farm.sweep", attrs={"jobs": 4}) as span:
+            tracer.event("farm.job", attrs={"program": "crc32"})
+        event, sweep = recorder.snapshot()
+        # a finished span reaches sinks with its trace coordinates
+        assert (sweep.trace_id, sweep.span_id) \
+            == (span.trace_id, span.span_id)
+        assert sweep.attrs == {"jobs": 4}
+        # an event has none: it is not part of any persisted trace
+        assert event.trace_id == event.span_id == ""
+        assert event.attrs == {"program": "crc32"}
 
 
 class TestStagePrinterUnits:
     def render(self, seconds):
         out = io.StringIO()
-        StagePrinter(stream=out)(
-            TelemetryEvent(stage="farm.sweep", seconds=seconds))
+        StagePrinter(stream=out)(record("farm.sweep", seconds))
         return out.getvalue()
 
     def test_milliseconds_below_ten_seconds(self):
@@ -76,3 +91,16 @@ class TestStagePrinterUnits:
     def test_seconds_for_long_stages(self):
         assert "(90.0 s)" in self.render(90.0)
         assert "(3661.0 s)" in self.render(3661.0)
+
+    def test_subject_is_the_program_or_the_fleet(self):
+        out = io.StringIO()
+        printer = StagePrinter(stream=out)
+        printer(record("farm.job", detail="executed", program="crc32"))
+        printer(record("scheduler.fleet", detail="0 failed",
+                       fleet="alpha", jobs=2))
+        printer(record("scheduler.serve", detail="1 fleet(s)"))
+        assert out.getvalue().splitlines() == [
+            "  [farm.job] crc32: executed (0.0 ms)",
+            "  [scheduler.fleet] alpha: 0 failed (0.0 ms)",
+            "  [scheduler.serve]: 1 fleet(s) (0.0 ms)",
+        ]
