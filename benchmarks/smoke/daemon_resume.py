@@ -1,12 +1,16 @@
 """CI smoke: kill a serving daemon with SIGTERM, restart it, and the
-journaled fleets complete with zero re-simulation.
+journaled fleets complete with zero re-simulation; then a live daemon
+picks up a fleet another process submits while it runs.
 
 The out-of-process version of ``benchmarks/test_daemon_resume.py``:
 ``eric submit`` journals two fleets, ``eric daemon`` serves them as a
 real subprocess, SIGTERM lands mid-serve (after the first result hits
 the store), and a second daemon finishes the job.  Every simulation
 appends exactly one store line, so the final line count doubling as
-the unique-key count is the zero-re-simulation proof.
+the unique-key count is the zero-re-simulation proof.  A third daemon
+runs without ``--once``; once it is polling, ``eric submit`` appends a
+fleet from another process, the daemon's journal reload must find it
+and serve it, and SIGTERM must end the daemon cleanly.
 
 Runs locally too::
 
@@ -39,6 +43,15 @@ FLEETS = {"fleets": [
      "device_seeds": [4, 5, 6, 7]},
 ]}
 UNIQUE_JOBS = 7
+#: Submitted to a running daemon: seed 7 is already stored, 8 and 9
+#: are the only new keys.
+LATE_FLEETS = {"fleets": [
+    {"name": "gamma",
+     "programs": [{"name": "probe",
+                   "source": "int main() { return 0; }\n"}],
+     "device_seeds": [7, 8, 9]},
+]}
+LATE_NEW_KEYS = 2
 
 
 def _store_lines(store_dir) -> int:
@@ -60,6 +73,53 @@ def _cli(args, log):
     return subprocess.Popen(
         [sys.executable, "-m", "repro.cli", *args],
         env=_env(), stdout=log, stderr=subprocess.STDOUT)
+
+
+def _live_pickup(journal_dir, store_dir, spec_path, log,
+                 log_path) -> str:
+    """Phase 3: start a daemon without ``--once``; once it polls,
+    submit ``spec_path`` from another process, wait until the daemon
+    has served it, and SIGTERM it.  Returns the request id."""
+    # the daemon's first periodic metrics dump comes from its poll
+    # loop, after it read the journal
+    metrics_path = os.path.join(journal_dir, "metrics.json")
+    if os.path.exists(metrics_path):
+        os.remove(metrics_path)
+    known = JournalStore(journal_dir).keys()
+    daemon = _cli(["daemon", "--journal", journal_dir,
+                   "--store", store_dir, "--quiet",
+                   "--poll-interval", "0.05",
+                   "--metrics-interval", "0.1"], log)
+    try:
+        deadline = time.monotonic() + 60
+        while not os.path.exists(metrics_path):
+            assert daemon.poll() is None, (
+                f"live daemon exited early; see {log_path}")
+            assert time.monotonic() < deadline, (
+                f"live daemon never reached its poll loop; "
+                f"see {log_path}")
+            time.sleep(0.01)
+        submit = _cli(["submit", spec_path, "--journal", journal_dir],
+                      log)
+        assert submit.wait(timeout=60) == 0, "late eric submit failed"
+        (late_id,) = JournalStore(journal_dir).keys() - known
+        deadline = time.monotonic() + 120
+        while JournalStore(journal_dir).get(late_id).state != "done":
+            assert daemon.poll() is None, (
+                f"live daemon exited before serving {late_id}; "
+                f"see {log_path}")
+            assert time.monotonic() < deadline, (
+                f"request {late_id} not done within 120s; "
+                f"see {log_path}")
+            time.sleep(0.05)
+        daemon.send_signal(signal.SIGTERM)
+        assert daemon.wait(timeout=120) == 0, (
+            f"live daemon SIGTERM exit was not graceful; see {log_path}")
+        return late_id
+    finally:
+        if daemon.poll() is None:  # a failed check: leave no daemon
+            daemon.kill()          # serving forever
+            daemon.wait()
 
 
 def main(argv=None) -> int:
@@ -122,6 +182,19 @@ def main(argv=None) -> int:
     print(f"after resume: every request done, {final} store line(s)")
     # zero re-simulation: one store line per unique key, ever
     assert final == UNIQUE_JOBS, final
+
+    # phase 3: a daemon serving without --once picks up a submission
+    # another process appends to the journal it has already loaded
+    late_path = os.path.join(work, "late.json")
+    with open(late_path, "w", encoding="utf-8") as handle:
+        json.dump(LATE_FLEETS, handle)
+    with open(log_path, "a", encoding="utf-8") as log:
+        late_id = _live_pickup(journal_dir, store_dir, late_path, log,
+                               log_path)
+    late = _store_lines(store_dir)
+    print(f"live pickup: request {late_id} done, {late} store line(s)")
+    # the store gained exactly the late fleet's new keys
+    assert late == UNIQUE_JOBS + LATE_NEW_KEYS, late
     print("PASS: daemon SIGTERM/resume smoke")
     return 0
 

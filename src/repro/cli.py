@@ -679,9 +679,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bound on concurrently-running blocking stages "
                         "(default 8)")
     p.add_argument("--batch-window", type=float, default=0.02,
-                   help="seconds the batcher lingers so overlapping "
-                        "fleets coalesce into one farm batch "
-                        "(default 0.02)")
+                   help="most seconds the batcher lingers for fleets "
+                        "still compiling, so fleets whose compiles "
+                        "overlap share one farm batch (default 0.02)")
     p.add_argument("--no-store", action="store_true",
                    help="measure in-memory; skip and persist nothing")
     p.add_argument("--force", action="store_true",

@@ -134,8 +134,8 @@ class MetricsRegistry:
         root = Path(root)
         root.mkdir(parents=True, exist_ok=True)
         path = root / METRICS_FILENAME
-        atomic_rewrite(path, json.dumps(self.snapshot(), sort_keys=True,
-                                        indent=2) + "\n")
+        atomic_rewrite(path, (json.dumps(self.snapshot(), sort_keys=True,
+                                         indent=2) + "\n").encode("utf-8"))
         return path
 
     def render(self) -> str:

@@ -426,9 +426,12 @@ class FleetScheduler:
             :class:`FarmCoordinator` (requires ``store``).
         shard_root: per-shard store/spec directory (coordinator only).
         max_concurrency: bound on concurrently-running blocking stages.
-        batch_window: seconds the batcher lingers after a request so
-            overlapping fleets coalesce into one farm batch.  0 batches
-            whatever is queued when the loop gets around to draining.
+        batch_window: the most seconds the batcher lingers before a
+            drain while a fleet :meth:`deploy_fleet` began is still
+            preparing its artifacts, so fleets whose compiles overlap
+            coalesce into one farm batch.  With no fleet preparing it
+            drains after one event-loop yield (jobs queued in the same
+            tick share a batch); 0 never lingers.
         tracer: the :class:`~repro.obs.trace.Tracer` for the fresh
             session (exclusive with ``session``; a memory-only one if
             not given), shared with the farm backend.  Each fleet is a
@@ -494,7 +497,12 @@ class FleetScheduler:
         # resolve to a stale store hit), and vice versa.
         self._loop: asyncio.AbstractEventLoop | None = None
         self._wakeup: asyncio.Event | None = None
+        #: set while no fleet is preparing its artifacts
+        self._prepared: asyncio.Event | None = None
         self._batcher: asyncio.Task | None = None
+        #: fleets deploy_fleet began that have not yet queued their
+        #: jobs (still in _prepare_artifacts)
+        self._preparing = 0
         # pending entries carry the requester's trace context so the
         # batch span can parent under whoever triggered the batch
         self._pending: list[tuple[tuple[str, bool], JobSpec,
@@ -512,6 +520,9 @@ class FleetScheduler:
         # from a previous, now-dead loop is unusable by construction
         self._loop = loop
         self._wakeup = asyncio.Event()
+        self._prepared = asyncio.Event()
+        if not self._preparing:
+            self._prepared.set()
         self._pending = []
         self._inflight = {}
         self._batcher = loop.create_task(self._batch_loop())
@@ -574,11 +585,18 @@ class FleetScheduler:
     async def _batch_loop(self) -> None:
         while True:
             await self._wakeup.wait()
-            if self.batch_window > 0:
-                # linger so fleets submitting "at the same time" land
-                # in the same farm batch (pure wall-clock economy; the
-                # dedup guarantee holds for any batching)
-                await asyncio.sleep(self.batch_window)
+            # one yield lets jobs queued in the same tick join the drain
+            await asyncio.sleep(0)
+            if self._preparing:
+                # linger while a fleet is still preparing so fleets
+                # whose compiles overlap land in one farm batch (pure
+                # wall-clock economy; the dedup guarantee holds for any
+                # batching)
+                try:
+                    await asyncio.wait_for(self._prepared.wait(),
+                                           self.batch_window)
+                except asyncio.TimeoutError:
+                    pass
             self._wakeup.clear()
             batch, self._pending = self._pending, []
             if not batch:
@@ -655,6 +673,7 @@ class FleetScheduler:
         parented under ``trace_parent`` (e.g. a daemon request's root
         span) — whose context rides into the shared batch."""
         request.validate()
+        self._ensure_started()
         start = time.perf_counter()
         span = self.tracer.start("scheduler.fleet", parent=trace_parent,
                                  attrs={"fleet": request.name,
@@ -703,10 +722,17 @@ class FleetScheduler:
                 key, [source, spec.display_name, spec.config, False])
             if force or not self._is_measured(spec):
                 entry[3] = True  # at least one job will really measure
-        await asyncio.gather(*(
-            self.async_session.prepare(source, name, config)
-            for source, name, config, needed in wanted.values()
-            if needed))
+        self._preparing += 1
+        self._prepared.clear()
+        try:
+            await asyncio.gather(*(
+                self.async_session.prepare(source, name, config)
+                for source, name, config, needed in wanted.values()
+                if needed))
+        finally:
+            self._preparing -= 1
+            if not self._preparing:
+                self._prepared.set()
         return len(wanted)
 
     async def serve(self, requests: Sequence[FleetRequest],

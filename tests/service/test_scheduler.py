@@ -31,6 +31,18 @@ class ExplodingFarm:
         raise RuntimeError("store melted")
 
 
+class InstantFarm:
+    """Stands in for the farm: every job succeeds at once."""
+
+    def run_batch(self, specs, force=False, trace_parent=None):
+        report = FarmReport(
+            results=tuple(FarmJobResult(spec=spec, record=None,
+                                        error=None, from_store=False,
+                                        wall_s=0.0) for spec in specs),
+            wall_s=0.0, jobs=1, store_path=None)
+        return report, report.by_key()
+
+
 class TestAsyncSingleFlight:
     def test_concurrent_runs_coalesce(self):
         flight = AsyncSingleFlight()
@@ -430,6 +442,56 @@ class TestFleetScheduler:
         # exactly one retry: the failure was not memoized, the ok
         # outcome was
         assert calls == [1, 1]
+
+    def test_direct_measure_does_not_wait_out_the_window(self):
+        """With no fleet preparing there is nothing to wait for: the
+        batch window caps a linger, it is not a sleep."""
+        scheduler = FleetScheduler(batch_window=3600)
+        scheduler.farm = InstantFarm()
+        spec = FleetRequest.from_spec(probe_fleet("direct", [51])).jobs[0]
+
+        async def go():
+            try:
+                return await asyncio.wait_for(scheduler.measure([spec]),
+                                              30)
+            finally:
+                await scheduler.aclose()
+
+        (result,) = asyncio.run(go())
+        assert result.ok
+
+    def test_batch_waits_for_a_fleet_still_preparing(self):
+        """A fleet still compiling when another fleet's jobs are queued
+        holds the drain (up to the window), so both share one batch."""
+        scheduler = FleetScheduler(batch_window=1.0)
+        scheduler.farm = InstantFarm()
+        slow_source = "int main() { return 1; }\n"
+        quick = FleetRequest.from_spec(probe_fleet("quick", [61]))
+        slow = FleetRequest.from_spec(
+            probe_fleet("slow", [62], source=slow_source))
+
+        async def go():
+            loop = asyncio.get_running_loop()
+            release = asyncio.Event()
+
+            async def prepare(source, name, config):
+                if source == slow_source:
+                    await release.wait()
+                else:   # quick queues its jobs right after this
+                    loop.call_later(0.1, release.set)
+
+            scheduler.async_session.prepare = prepare
+            try:
+                return await asyncio.wait_for(asyncio.gather(
+                    scheduler.deploy_fleet(quick),
+                    scheduler.deploy_fleet(slow)), 30)
+            finally:
+                await scheduler.aclose()
+
+        for report in asyncio.run(go()):
+            report.require_ok()
+        assert len(scheduler.batch_reports) == 1
+        assert len(scheduler.batch_reports[0].results) == 2
 
     def test_force_is_isolated_per_request(self, tmp_path):
         """A forced request re-measures without attaching to un-forced

@@ -1,14 +1,19 @@
 """The append-only JSONL discipline shared by the result store, the
 request journal and the trace: how each log classifies its lines at
-load and in ``eric doctor``, and that an append after a torn tail
-survives."""
+load and in ``eric doctor``, that an append after a torn tail
+survives, and that a tail-only reload holds what a full load would."""
 
 import json
 import multiprocessing
+import os
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.farm import STORE_SCHEMA, FarmRecord, ResultStore
 from repro.farm.doctor import diagnose_store
@@ -74,6 +79,8 @@ class Log:
     #: appends one fresh record through the log's own writer and
     #: returns its key
     append: Callable
+    #: corrupt lines ``eric doctor`` reports for the log's directory
+    doctor_corrupt: Callable
 
 
 def append_store(root):
@@ -91,11 +98,14 @@ def append_trace(root):
 
 LOGS = (
     Log("store", "results.jsonl", STORE_SCHEMA, "key", store_line,
-        load_store, append_store),
+        load_store, append_store,
+        lambda root: diagnose_store(root).corrupt),
     Log("journal", "journal.jsonl", JOURNAL_SCHEMA, "request_id",
-        journal_line, load_journal, append_journal),
+        journal_line, load_journal, append_journal,
+        lambda root: diagnose_journal(root).corrupt),
     Log("trace", TRACE_FILENAME, TRACE_SCHEMA, "span_id", trace_line,
-        load_trace, append_trace),
+        load_trace, append_trace,
+        lambda root: diagnose_trace(root).skipped_lines),
 )
 
 
@@ -201,6 +211,16 @@ def test_append_after_torn_tail_survives(log, tmp_path):
     assert text.startswith(log.line("a", 2) + "\n" + fragment + "\n")
 
 
+def test_non_utf8_line_is_one_corrupt_line(log, tmp_path):
+    """One undecodable byte sequence costs its own line, never the
+    whole file: loads keep both neighbours and the doctor counts it."""
+    (tmp_path / log.filename).write_bytes(
+        log.line("a", 1).encode() + b"\n\xff\xfe\n"
+        + log.line("b", 1).encode() + b"\n")
+    assert log.load(tmp_path) == ({"a": 1, "b": 1}, 1)
+    assert log.doctor_corrupt(tmp_path) == 1
+
+
 def test_span_after_torn_tail_is_an_unfinished_request(tmp_path):
     (tmp_path / TRACE_FILENAME).write_text(trace_line("a", 2)[:25],
                                            encoding="utf-8")
@@ -233,3 +253,98 @@ def test_concurrent_appends_interleave_whole_lines(tmp_path):
     records, skipped = load_store(tmp_path)
     assert skipped == 0
     assert len(records) == 4 * 200
+
+
+# -- tail-only reload ---------------------------------------------------
+
+@dataclass(frozen=True)
+class KeyedLog:
+    """A keyed log class and how to write one of its records."""
+
+    name: str
+    open: Callable
+    line: Callable[[str, int], str]
+    write: Callable
+
+
+KEYED_LOGS = (
+    KeyedLog("store", ResultStore, store_line,
+             lambda store, line: store.put(FarmRecord.from_json(line))),
+    KeyedLog("journal", JournalStore, journal_line,
+             lambda journal, line: journal.append(
+                 JournalRecord.from_json(line))),
+)
+
+#: one step against the shared file; the int picks a key, a cut point
+#: (past the end: a whole record with no newline) or a prefix length
+STEP = st.one_of(
+    st.tuples(st.sampled_from(("append", "append_other")),
+              st.integers(0, 2)),
+    st.tuples(st.just("fragment"), st.integers(0, 1 << 10)),
+    st.tuples(st.just("truncate"), st.integers(0, 1 << 20)),
+    st.tuples(st.sampled_from(("corrupt", "non_utf8", "foreign",
+                               "compact", "rewrite", "delete")),
+              st.just(0)),
+)
+
+
+def _state(log) -> tuple[dict, int]:
+    return {key: log.get(key) for key in log.keys()}, log.skipped_lines
+
+
+def _raw_append(path: Path, data: bytes) -> None:
+    """Append bytes as a foreign writer would: no torn-tail repair."""
+    with open(path, "ab") as handle:
+        handle.write(data)
+
+
+def _apply(kind: KeyedLog, step: tuple[str, int], n: int, log, other,
+           path: Path) -> None:
+    """Perform step ``n`` of a sequence.  Every line a step writes
+    carries ``n``, so no in-place rewrite reproduces the bytes it
+    replaces."""
+    op, arg = step
+    size = path.stat().st_size if path.exists() else 0
+    if op == "append":
+        kind.write(log, kind.line("abc"[arg], n))
+    elif op == "append_other":
+        kind.write(other, kind.line("abc"[arg], n))
+    elif op == "fragment":
+        line = kind.line(f"torn-{n}", n).encode()
+        _raw_append(path, line[:arg])
+    elif op == "corrupt":
+        _raw_append(path, f"corrupt line {n}\n".encode())
+    elif op == "non_utf8":
+        _raw_append(path, b"\xff\xfe" + str(n).encode() + b"\n")
+    elif op == "foreign":
+        _raw_append(path, json.dumps(
+            {"schema": FOREIGN_SCHEMA, "n": n}).encode() + b"\n")
+    elif op == "compact":
+        other.compact()
+    elif op == "truncate":
+        if path.exists():
+            os.truncate(path, arg % (size + 1))
+    elif op == "rewrite":
+        # same inode, longer and different content: only the bytes
+        # before the resume point can tell it from an append
+        lines = []
+        while sum(map(len, lines)) <= size:
+            lines.append(kind.line(f"rewrite-{n}-{len(lines)}", n) + "\n")
+        path.write_bytes("".join(lines).encode())
+    else:
+        path.unlink(missing_ok=True)
+
+
+@pytest.mark.parametrize("kind", KEYED_LOGS, ids=lambda kind: kind.name)
+@settings(max_examples=60, deadline=None)
+@given(steps=st.lists(STEP, max_size=20))
+def test_reload_matches_a_fresh_load(kind, steps):
+    """After any sequence of appends (own and foreign), torn tails,
+    bad lines, compactions, in-place truncations and rewrites and
+    deletions, a reload holds exactly what a fresh instance loads."""
+    with tempfile.TemporaryDirectory() as root:
+        log, other = kind.open(root), kind.open(root)
+        for n, step in enumerate(steps, start=1):
+            _apply(kind, step, n, log, other, log.path)
+            log.reload()
+            assert _state(log) == _state(kind.open(root)), steps[:n]
