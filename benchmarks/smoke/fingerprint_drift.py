@@ -1,12 +1,14 @@
 """CI smoke: a timing-model edit must move the fingerprint and fail
 the doctor.
 
-Copies the fingerprinted modules to a temp tree, patches one pipeline
-latency constant, and asserts the chain end to end: the patched tree's
-fingerprint differs (and only ``soc/pipeline.py`` contributes the
-drift), a store recorded under the patched model is flagged by ``eric
-doctor --fingerprint`` (exit 1), and the committed store passes the
-same audit (exit 0).  Comment-only edits must move nothing.
+Copies the fingerprinted modules to a temp tree and patches, one at a
+time, a pipeline latency constant and a PRNG shift (the PRNG drives PUF
+fabrication, PUF noise and encryption-slot selection).  It asserts the
+chain end to end: each patched tree's fingerprint differs (and only the
+patched module contributes the drift), a store recorded under a
+patched model is flagged by ``eric doctor --fingerprint`` (exit 1), and
+the committed store passes the same audit (exit 0).  Comment-only edits
+must move nothing.
 
 Runs locally too::
 
@@ -27,8 +29,11 @@ from repro.statics.fingerprint import (FINGERPRINT_MODULES,  # noqa: E402
                                        compute_report, model_fingerprint)
 
 PACKAGE_ROOT = ROOT / "src" / "repro"
-PATCH_OLD = "miss_penalty: int = 24"
-PATCH_NEW = "miss_penalty: int = 37"
+#: (module, text, replacement): each edit must drift that module alone
+PATCHES = (
+    ("soc/pipeline.py", "miss_penalty: int = 24", "miss_penalty: int = 37"),
+    ("crypto/prng.py", "<< 17", "<< 18"),
+)
 
 
 def copy_tree(into: Path) -> Path:
@@ -66,21 +71,24 @@ def main(argv=None) -> int:
         assert compute_report(tree).fingerprint == \
             baseline.fingerprint, "comment edit moved the fingerprint"
 
-        # latency edit: fingerprint drifts, blamed on pipeline.py
-        assert PATCH_OLD in source, \
-            f"pipeline constant {PATCH_OLD!r} not found to patch"
-        pipeline.write_text(source.replace(PATCH_OLD, PATCH_NEW),
-                            encoding="utf-8")
-        patched = compute_report(tree)
-        assert patched.fingerprint != baseline.fingerprint, \
-            "latency edit did not move the fingerprint"
-        drifted = [name for name in patched.modules
-                   if patched.modules[name] != baseline.modules[name]]
-        assert drifted == ["soc/pipeline.py"], \
-            f"unexpected drift set {drifted}"
-        print(f"drift: {PATCH_OLD!r} -> {PATCH_NEW!r} moved "
-              f"{baseline.fingerprint[:16]} -> "
-              f"{patched.fingerprint[:16]} via soc/pipeline.py")
+        pipeline.write_text(source, encoding="utf-8")
+
+        # semantic edits: the fingerprint drifts, blamed on the module
+        for rel, old, new in PATCHES:
+            module = tree / rel
+            original = module.read_text(encoding="utf-8")
+            assert old in original, f"{old!r} not found to patch in {rel}"
+            module.write_text(original.replace(old, new), encoding="utf-8")
+            patched = compute_report(tree)
+            module.write_text(original, encoding="utf-8")
+            assert patched.fingerprint != baseline.fingerprint, \
+                f"{rel} edit did not move the fingerprint"
+            drifted = [name for name in patched.modules
+                       if patched.modules[name] != baseline.modules[name]]
+            assert drifted == [rel], f"unexpected drift set {drifted}"
+            print(f"drift: {old!r} -> {new!r} moved "
+                  f"{baseline.fingerprint[:16]} -> "
+                  f"{patched.fingerprint[:16]} via {rel}")
 
         # a store measured under the patched model fails the doctor
         from repro.farm.executor import execute_job

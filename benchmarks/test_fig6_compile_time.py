@@ -2,11 +2,12 @@
 
 Paper: +15.22 % average, +33.20 % worst case.
 
-Fidelity caveat (see EXPERIMENTS.md): the paper divides a C++ crypto
-stage by an LLVM compile; we divide a pure-Python crypto stage by a
-MiniC compile.  The bench asserts the *shape*: a strictly positive,
-bounded, size-correlated one-time cost, with the paper's band bracketed
-between our measured and native-SHA-adjusted numbers.
+The overhead is paired within one run: each job's baseline is the
+compile of its own packaging run.  Fidelity caveat: the paper divides
+C++ crypto by an LLVM compile; we divide native crypto (``hashlib``) by
+a Python MiniC compile, so the overhead lands at about +3 %.  The bench
+asserts the *shape*: a strictly positive, bounded, size-correlated
+one-time cost, within four times the paper's average.
 """
 
 from repro.eval import fig6
@@ -21,18 +22,17 @@ def test_fig6_compile_time(benchmark, record, farm):
     # ERIC always costs something, never an order of magnitude
     assert 0.0 < s["avg_overhead_pct"] < 150.0
     assert s["max_overhead_pct"] < 250.0
-    # re-costing the signature at native SHA speed must reduce overhead
-    assert s["adjusted_avg_overhead_pct"] < s["avg_overhead_pct"]
-    # the paper's band lies between the adjusted and measured estimates
-    assert s["adjusted_avg_overhead_pct"] < s["paper_avg_overhead_pct"] * 4
+    # within the paper's order of magnitude
+    assert s["avg_overhead_pct"] < s["paper_avg_overhead_pct"] * 4
     for row in result.rows:
         assert row.eric_s > row.baseline_s
 
 
 def test_fig6_overhead_tracks_signature_cost(record, farm):
-    """The packaging stage is dominated by hashing: its absolute cost
-    must grow with the signed byte count.  Farm-backed: once measured,
-    the stored records keep this deterministic under machine load."""
+    """ERIC's packaging work (sign, encrypt, package) walks the program
+    image: its absolute cost must grow with the signed byte count.
+    Farm-backed: once measured, the stored records keep this
+    deterministic under machine load."""
     result = fig6.run(repeats=3, farm=farm)
     rows = sorted(result.rows, key=lambda r: r.signed_bytes)
     small = sum(r.eric_s - r.baseline_s for r in rows[:3]) / 3

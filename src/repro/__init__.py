@@ -40,7 +40,8 @@ Package map (see DESIGN.md for the full inventory):
 ``repro.farm``         matrix-scale evaluation: content-addressed job
                        matrices, a resumable result store, and a
                        process-pool simulation farm (``eric sweep``)
-``repro.crypto``       SHA-256, HMAC/KDF, XOR ciphers, AES (from scratch)
+``repro.crypto``       XOR ciphers, AES, KDF, PRNGs (from scratch);
+                       SHA-256 and HMAC over ``hashlib``/``hmac``
 ``repro.puf``          arbiter-PUF model, key generator, metrics
 ``repro.isa``          RV64IM + RVC encode/decode/disassemble
 ``repro.asm``          assembler and program images

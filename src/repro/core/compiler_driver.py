@@ -105,9 +105,8 @@ class CompiledArtifact:
     source_digest: str
     compile_s: float = 0.0
     signature_s: float = 0.0
-    #: encryption-map slot selection; reported under encryption_s (where
-    #: this work was always billed) so Fig. 6's signature-only adjustment
-    #: keeps subtracting pure hash time
+    #: encryption-map slot selection; reported under encryption_s, where
+    #: this work was always billed
     selection_s: float = 0.0
 
 

@@ -99,7 +99,7 @@ TABLE_I_ENVIRONMENT: dict[str, tuple[str, str]] = {
     "PUF Type": ("Arbiter PUF", "Arbiter PUF (additive delay model)"),
     "PUF Parameters": ("32x 8-bit challenge 1-bit response",
                        "32x 8-bit challenge 1-bit response"),
-    "Signature Function": ("SHA-256", "SHA-256 (from scratch)"),
+    "Signature Function": ("SHA-256", "SHA-256 (hashlib)"),
     "Encryption Function": ("XOR Cipher", "XOR Cipher (repeating key)"),
     "SoC": ("Rocket Chip (In-Order 6-stage)",
             "Rocket-like in-order timing model"),

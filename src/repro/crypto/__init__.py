@@ -1,12 +1,14 @@
-"""From-scratch cryptographic substrate for the ERIC reproduction.
+"""Cryptographic substrate for the ERIC reproduction.
 
 The paper implements SHA-256 in C++ inside the compiler and uses a simple
 XOR cipher as the pluggable symmetric encryption function (§IV.A).  This
 package provides those, plus the pieces the wider evaluation needs:
 
-* :mod:`repro.crypto.sha256` — FIPS 180-2 SHA-256 with a streaming API
+* :mod:`repro.crypto.sha256` — SHA-256 over :mod:`hashlib` with a
+  streaming API and the block count the HDE cycle model charges
   (signature generation on both compiler and hardware sides).
-* :mod:`repro.crypto.hmac` — HMAC-SHA256 (key-derivation building block).
+* :mod:`repro.crypto.hmac` — HMAC-SHA256 over :mod:`hmac`
+  (key-derivation building block).
 * :mod:`repro.crypto.kdf` — counter-mode KDF over HMAC-SHA256 (the Key
   Management Unit's "conversion function").
 * :mod:`repro.crypto.xor_cipher` — repeating-key XOR (the paper's cipher)
@@ -16,9 +18,11 @@ package provides those, plus the pieces the wider evaluation needs:
 * :mod:`repro.crypto.prng` — deterministic PRNGs (SplitMix64, Xoshiro256**)
   used wherever the framework needs reproducible randomness.
 
-Nothing here imports :mod:`hashlib`/:mod:`secrets`: the point of the
-substrate is to be the implementation, not to wrap one.  Tests cross-check
-against :mod:`hashlib` and published vectors.
+The hash and the MAC wrap the standard library, as the paper's hash is
+native code (C++ in the compiler, a hardware core in the HDE); the cycle
+model charges SHA-256 by message length alone.  The ciphers, the KDF,
+AES and the PRNGs are implemented here.  Tests check the hash, the MAC
+and AES against published vectors.
 """
 
 from repro.crypto.sha256 import SHA256, sha256

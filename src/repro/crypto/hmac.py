@@ -1,4 +1,4 @@
-"""HMAC-SHA256 (RFC 2104) built on the from-scratch SHA-256.
+"""HMAC-SHA256 (RFC 2104) over the standard library's :mod:`hmac`.
 
 The Key Management Unit derives PUF-based keys and per-purpose subkeys via
 a counter-mode KDF whose PRF is this HMAC (see :mod:`repro.crypto.kdf`).
@@ -6,24 +6,9 @@ a counter-mode KDF whose PRF is this HMAC (see :mod:`repro.crypto.kdf`).
 
 from __future__ import annotations
 
-from repro.crypto.sha256 import BLOCK_SIZE, SHA256, sha256
-
-_IPAD = bytes(0x36 for _ in range(BLOCK_SIZE))
-_OPAD = bytes(0x5C for _ in range(BLOCK_SIZE))
-
-
-def _xor_bytes(a: bytes, b: bytes) -> bytes:
-    return bytes(x ^ y for x, y in zip(a, b))
+import hmac
 
 
 def hmac_sha256(key: bytes, message: bytes) -> bytes:
     """Return ``HMAC-SHA256(key, message)`` as 32 bytes."""
-    if len(key) > BLOCK_SIZE:
-        key = sha256(key)
-    key = key.ljust(BLOCK_SIZE, b"\x00")
-
-    inner = SHA256(_xor_bytes(key, _IPAD))
-    inner.update(message)
-    outer = SHA256(_xor_bytes(key, _OPAD))
-    outer.update(inner.digest())
-    return outer.digest()
+    return hmac.digest(key, message, "sha256")

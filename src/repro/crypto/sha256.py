@@ -1,4 +1,4 @@
-"""SHA-256 implemented from scratch (FIPS 180-2 / FIPS 180-4).
+"""SHA-256 (FIPS 180-2 / FIPS 180-4) over :mod:`hashlib`.
 
 The paper's Signature Generator runs SHA-256 over the compiled program
 before encryption (§III.1) and again, streaming, inside the Hardware
@@ -6,46 +6,17 @@ Decryption Engine as instructions are decrypted (§III.2).  Both uses need
 an incremental API, so :class:`SHA256` mirrors the familiar
 ``update()``/``digest()`` shape.
 
-The implementation is deliberately straightforward word-at-a-time Python —
-its (slow) cost is itself part of the reproduction: the compile-time
-overhead measured for Fig. 6 includes running this signature function over
-the program image, exactly as the authors' C++ SHA-256 contributes to their
-compile times.
+The paper's hash is native code on both sides (C++ in the compiler, a
+hardware core in the HDE), so this module wraps the native
+``hashlib.sha256``.  Nothing simulated depends on the rounds themselves:
+the HDE cycle model charges by length alone, one cycle per round of
+every 512-bit block (:data:`ROUNDS_PER_BLOCK`, :attr:`SHA256.blocks_processed`,
+:func:`blocks_for_length`).
 """
 
 from __future__ import annotations
 
-import struct
-
-_MASK32 = 0xFFFFFFFF
-
-# First 32 bits of the fractional parts of the cube roots of the first 64
-# primes (FIPS 180-2 §4.2.2).
-_K = (
-    0x428A2F98, 0x71374491, 0xB5C0FBCF, 0xE9B5DBA5,
-    0x3956C25B, 0x59F111F1, 0x923F82A4, 0xAB1C5ED5,
-    0xD807AA98, 0x12835B01, 0x243185BE, 0x550C7DC3,
-    0x72BE5D74, 0x80DEB1FE, 0x9BDC06A7, 0xC19BF174,
-    0xE49B69C1, 0xEFBE4786, 0x0FC19DC6, 0x240CA1CC,
-    0x2DE92C6F, 0x4A7484AA, 0x5CB0A9DC, 0x76F988DA,
-    0x983E5152, 0xA831C66D, 0xB00327C8, 0xBF597FC7,
-    0xC6E00BF3, 0xD5A79147, 0x06CA6351, 0x14292967,
-    0x27B70A85, 0x2E1B2138, 0x4D2C6DFC, 0x53380D13,
-    0x650A7354, 0x766A0ABB, 0x81C2C92E, 0x92722C85,
-    0xA2BFE8A1, 0xA81A664B, 0xC24B8B70, 0xC76C51A3,
-    0xD192E819, 0xD6990624, 0xF40E3585, 0x106AA070,
-    0x19A4C116, 0x1E376C08, 0x2748774C, 0x34B0BCB5,
-    0x391C0CB3, 0x4ED8AA4A, 0x5B9CCA4F, 0x682E6FF3,
-    0x748F82EE, 0x78A5636F, 0x84C87814, 0x8CC70208,
-    0x90BEFFFA, 0xA4506CEB, 0xBEF9A3F7, 0xC67178F2,
-)
-
-# First 32 bits of the fractional parts of the square roots of the first 8
-# primes (FIPS 180-2 §5.3.2).
-_H0 = (
-    0x6A09E667, 0xBB67AE85, 0x3C6EF372, 0xA54FF53A,
-    0x510E527F, 0x9B05688C, 0x1F83D9AB, 0x5BE0CD19,
-)
+import hashlib
 
 BLOCK_SIZE = 64
 DIGEST_SIZE = 32
@@ -53,10 +24,6 @@ DIGEST_SIZE = 32
 # Number of compression rounds per 512-bit block; exported because the HDE
 # cycle model charges one cycle per round (see repro.core.hde).
 ROUNDS_PER_BLOCK = 64
-
-
-def _rotr(value: int, amount: int) -> int:
-    return ((value >> amount) | (value << (32 - amount))) & _MASK32
 
 
 class SHA256:
@@ -72,100 +39,41 @@ class SHA256:
     block_size = BLOCK_SIZE
 
     def __init__(self, data: bytes = b"") -> None:
-        self._h = list(_H0)
-        self._buffer = bytearray()
-        self._length = 0  # total message length in bytes
-        self.blocks_processed = 0
-        if data:
-            self.update(data)
+        self._hash = hashlib.sha256(data)
+        self._length = len(data)  # total message length in bytes
+
+    @property
+    def blocks_processed(self) -> int:
+        """Whole 512-bit blocks absorbed so far (padding not included)."""
+        return self._length // BLOCK_SIZE
 
     def update(self, data: bytes) -> None:
         """Absorb ``data`` into the hash state."""
+        self._hash.update(data)
         self._length += len(data)
-        self._buffer.extend(data)
-        view = self._buffer
-        offset = 0
-        while len(view) - offset >= BLOCK_SIZE:
-            self._compress(bytes(view[offset:offset + BLOCK_SIZE]))
-            offset += BLOCK_SIZE
-        if offset:
-            del self._buffer[:offset]
 
     def copy(self) -> "SHA256":
         """Return an independent copy of the current hash state."""
         clone = SHA256.__new__(SHA256)
-        clone._h = list(self._h)
-        clone._buffer = bytearray(self._buffer)
+        clone._hash = self._hash.copy()
         clone._length = self._length
-        clone.blocks_processed = self.blocks_processed
         return clone
 
     def digest(self) -> bytes:
         """Return the 32-byte digest of everything absorbed so far.
 
         The internal state is not consumed; more ``update()`` calls may
-        follow (they continue from the pre-padding state).
+        follow.
         """
-        final = self.copy()
-        final._pad()
-        return struct.pack(">8I", *final._h)
+        return self._hash.digest()
 
     def hexdigest(self) -> str:
-        return self.digest().hex()
-
-    def _pad(self) -> None:
-        bit_length = self._length * 8
-        # 0x80 terminator, zero fill to 56 mod 64, 64-bit big-endian length.
-        pad_len = (55 - self._length) % 64
-        self.update(b"\x80" + b"\x00" * pad_len + struct.pack(">Q", bit_length))
-        # The length counter was advanced by padding; harmless on a copy.
-
-    def _compress(self, block: bytes) -> None:
-        # Hot loop: everything bound to locals, rotations inlined.  The
-        # algorithm is byte-for-byte FIPS 180-2; only the Python is tuned
-        # (this function dominates ERIC's signature cost, which Fig. 6
-        # measures).
-        mask = _MASK32
-        k = _K
-        w = list(struct.unpack(">16I", block))
-        append = w.append
-        for i in range(16, 64):
-            x = w[i - 15]
-            s0 = ((x >> 7 | x << 25) ^ (x >> 18 | x << 14) ^ (x >> 3)) & mask
-            x = w[i - 2]
-            s1 = ((x >> 17 | x << 15) ^ (x >> 19 | x << 13) ^ (x >> 10)) \
-                & mask
-            append((w[i - 16] + s0 + w[i - 7] + s1) & mask)
-
-        a, b, c, d, e, f, g, h = self._h
-        for ki, wi in zip(k, w):
-            s1 = ((e >> 6 | e << 26) ^ (e >> 11 | e << 21)
-                  ^ (e >> 25 | e << 7)) & mask
-            temp1 = h + s1 + ((e & f) ^ ((e ^ mask) & g)) + ki + wi
-            s0 = ((a >> 2 | a << 30) ^ (a >> 13 | a << 19)
-                  ^ (a >> 22 | a << 10)) & mask
-            temp2 = s0 + ((a & b) ^ ((a ^ b) & c))
-            h = g
-            g = f
-            f = e
-            e = (d + temp1) & mask
-            d = c
-            c = b
-            b = a
-            a = (temp1 + temp2) & mask
-
-        hh = self._h
-        self._h = [
-            (hh[0] + a) & mask, (hh[1] + b) & mask, (hh[2] + c) & mask,
-            (hh[3] + d) & mask, (hh[4] + e) & mask, (hh[5] + f) & mask,
-            (hh[6] + g) & mask, (hh[7] + h) & mask,
-        ]
-        self.blocks_processed += 1
+        return self._hash.hexdigest()
 
 
 def sha256(data: bytes) -> bytes:
     """One-shot convenience: the SHA-256 digest of ``data``."""
-    return SHA256(data).digest()
+    return hashlib.sha256(data).digest()
 
 
 def blocks_for_length(length: int) -> int:

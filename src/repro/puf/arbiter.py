@@ -86,11 +86,18 @@ class ArbiterPuf:
 
     def evaluate_majority(self, challenge: int, votes: int = 11,
                           environment: Environment = NOMINAL) -> int:
-        """Majority vote over ``votes`` fresh evaluations (odd count)."""
+        """Majority vote over ``votes`` fresh evaluations (odd count).
+
+        Every vote sees the same noiseless delay and noise sigma, so both
+        are computed once; the votes draw their noise in the same order
+        as ``votes`` calls of :meth:`evaluate`.
+        """
         if votes < 1 or votes % 2 == 0:
             raise ConfigError("votes must be a positive odd number")
-        ones = sum(self.evaluate(challenge, environment)
-                   for _ in range(votes))
+        delta = self.delay_difference(challenge)
+        sigma = self.noise_sigma * environment.noise_scale()
+        gauss = self._noise.gauss
+        ones = sum(1 for _ in range(votes) if delta + gauss(0.0, sigma) > 0)
         return 1 if ones * 2 > votes else 0
 
     def _check_challenge(self, challenge: int) -> None:

@@ -52,9 +52,14 @@ FINGERPRINT_MODULES: tuple[str, ...] = (
     # Default configuration surface (every job key embeds a config the
     # defaults of which live here).
     "core/config.py",
-    # Cipher and hash identities.
+    # Cipher and hash identities; the MAC and KDF behind every derived
+    # key and the hashing cipher's keystream; the PRNG behind PUF
+    # fabrication and noise and encryption-slot selection.
     "crypto/xor_cipher.py",
     "crypto/sha256.py",
+    "crypto/hmac.py",
+    "crypto/kdf.py",
+    "crypto/prng.py",
     # Protection policies: region resolution and per-region selection
     # determine the encryption map, and the opaque-predicate pass
     # determines the instruction stream itself — both change package

@@ -2,8 +2,9 @@
 
 A full SHA-256 implementation *in MiniC* (the MiBench suite hashes input
 files with SHA; we hash a pseudorandom message, twice, chaining).  All
-arithmetic is 32-bit modular via explicit masking; the oracle is the
-repository's own from-scratch SHA-256 over the byte-identical message.
+arithmetic is 32-bit modular via explicit masking; the oracle is
+:func:`repro.crypto.sha256.sha256` (``hashlib``) over the byte-identical
+message.
 """
 
 from __future__ import annotations

@@ -1,8 +1,11 @@
 """Key Management Unit and Signature Generator units."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.asm.assembler import assemble
+from repro.asm.program import Program
 from repro.core.keys import (
     KeyManagementUnit,
     group_mask,
@@ -13,7 +16,12 @@ from repro.core.signature import (
     StreamingSignatureGenerator,
     compute_signature,
 )
+from repro.crypto.sha256 import ROUNDS_PER_BLOCK
 from repro.errors import ConfigError
+
+#: signed load metadata: entry and both section bases (u64), then the
+#: text and data lengths (u32)
+METADATA_BYTES = 32
 
 
 class TestPufBasedKey:
@@ -131,3 +139,19 @@ class TestSignature:
             g.digest()
             return g.cycles
         assert 0 < cycles(small) < cycles(large)
+
+    @given(text=st.binary(max_size=700), data=st.binary(max_size=64),
+           entry=st.integers(0, 2**64 - 1),
+           cuts=st.lists(st.integers(0, 700), max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_streaming_any_split_matches_one_shot_and_cycle_model(
+            self, text, data, entry, cuts):
+        program = Program(text=text, data=data, text_base=0x1000,
+                          data_base=0x8000, entry=entry, layout=())
+        generator = StreamingSignatureGenerator.for_program(program)
+        bounds = sorted({0, len(text), *(min(c, len(text)) for c in cuts)})
+        for lo, hi in zip(bounds, bounds[1:]):
+            generator.absorb(text[lo:hi])
+        assert generator.digest() == compute_signature(program)
+        assert generator.cycles == \
+            ((METADATA_BYTES + len(text)) // 64 + 1) * ROUNDS_PER_BLOCK

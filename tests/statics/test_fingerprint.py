@@ -71,6 +71,20 @@ class TestFingerprint:
                    if after.modules[name] != before.modules[name]]
         assert changed == ["soc/pipeline.py"]
 
+    def test_prng_edit_changes_fingerprint(self, tree_copy):
+        """The PRNG drives PUF fabrication and noise and slot selection:
+        editing it must orphan every stored record."""
+        before = compute_report(tree_copy)
+        prng = tree_copy / "crypto" / "prng.py"
+        source = prng.read_text(encoding="utf-8")
+        assert "<< 17" in source
+        prng.write_text(source.replace("<< 17", "<< 18"), encoding="utf-8")
+        after = compute_report(tree_copy)
+        assert after.fingerprint != before.fingerprint
+        changed = [name for name in after.modules
+                   if after.modules[name] != before.modules[name]]
+        assert changed == ["crypto/prng.py"]
+
     def test_report_roundtrips_through_json(self):
         report = compute_report()
         revived = FingerprintReport.from_dict(
