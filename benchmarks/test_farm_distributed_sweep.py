@@ -22,8 +22,7 @@ import time
 
 from repro.core.config import EncryptionMode, EricConfig
 from repro.eval.report import Volatile, format_table
-from repro.farm import (FarmCoordinator, JobMatrix, ResultStore,
-                        SimulationFarm)
+from repro.farm import JobMatrix, ResultStore, SimulationFarm
 
 #: 2 workloads x 2 configs: the same shape as examples/sweep_spec.json.
 MATRIX = JobMatrix(
@@ -42,9 +41,9 @@ def test_farm_distributed_sweep(benchmark, record, tmp_path):
     wall_ref = time.perf_counter() - start
     reference.require_ok()
 
-    # sharded sweep on its own fresh store, merged by the coordinator
-    coordinator = FarmCoordinator(store=ResultStore(tmp_path / "sharded"),
-                                  shards=SHARDS)
+    # sharded sweep on its own fresh store, merged back by the farm
+    coordinator = SimulationFarm(store=ResultStore(tmp_path / "sharded"),
+                                 shards=SHARDS)
     start = time.perf_counter()
     sharded = coordinator.run(MATRIX)
     wall_sharded = time.perf_counter() - start

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Observability walkthrough: trace a sharded sweep end to end.
 
-Runs a 2-program matrix through the distributed farm coordinator with
-tracing on, then plays the operator role: render the merged waterfall
+Runs a 2-program matrix through a sharded simulation farm with tracing
+on, then plays the operator role: render the merged waterfall
 (`eric trace`), dump and render the metrics registry (`eric metrics`),
 and let the doctor check the trace for orphans and crashed requests.
 Every span in the waterfall — including the ones written by the worker
@@ -20,7 +20,7 @@ if True:  # allow running straight from a checkout
     sys.path.insert(
         0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from repro.farm import FarmCoordinator, JobMatrix, ResultStore
+from repro.farm import JobMatrix, ResultStore, SimulationFarm
 from repro.obs import (METRICS, Tracer, build_trees, diagnose_trace,
                        read_trace, render_snapshot, render_traces)
 
@@ -38,14 +38,13 @@ def main() -> None:
     workdir = pathlib.Path(tempfile.mkdtemp(prefix="eric-trace-"))
     store = ResultStore(workdir / "farm")
 
-    # A tracer rooted at the store directory: the coordinator opens the
-    # root span, writes its context into each shard.json, and merges
-    # the workers' trace files back after their stores merge.
-    coordinator = FarmCoordinator(store, shards=2,
-                                  tracer=Tracer(store.root))
+    # A tracer rooted at the store directory: the sharded farm opens
+    # the root span, writes its context into each shard.json, and
+    # merges the workers' trace files back after their stores merge.
+    farm = SimulationFarm(store, shards=2, tracer=Tracer(store.root))
     matrix = JobMatrix(programs=(("hello", HELLO),
                                  ("countdown", COUNTDOWN)))
-    report = coordinator.run(matrix)
+    report = farm.run(matrix)
     report.require_ok()
     print(report.summary())
     print(report.profile_summary())

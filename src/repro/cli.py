@@ -205,8 +205,7 @@ def _warn_skipped_lines(store) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.farm import (FarmCoordinator, JobMatrix, ResultStore,
-                            SimulationFarm)
+    from repro.farm import JobMatrix, ResultStore, SimulationFarm
     from repro.obs import METRICS, StagePrinter, Tracer
 
     if args.compact and args.no_store:
@@ -222,20 +221,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     store = None if args.no_store else ResultStore(args.store)
     _warn_skipped_lines(store)
     tracer = Tracer(store.root) if args.trace else None
-    if args.shards:
-        farm = FarmCoordinator(store=store, shards=args.shards,
-                               jobs_per_shard=args.jobs,
-                               shard_root=args.shard_root,
-                               tracer=tracer)
-        if not args.quiet:
-            # per-job events stay inside the worker processes; narrate
-            # shard completions instead
-            farm.tracer.add_sink(StagePrinter(stages="farm.shard"))
-    else:
-        farm = SimulationFarm(store=store, jobs=args.jobs,
-                              tracer=tracer)
-        if not args.quiet:
-            farm.tracer.add_sink(StagePrinter(stages="farm.job"))
+    farm = SimulationFarm(store=store, jobs=args.jobs, shards=args.shards,
+                          shard_root=args.shard_root, tracer=tracer)
+    if not args.quiet:
+        # a sharded sweep's per-job events stay inside the worker
+        # processes; narrate shard completions instead
+        farm.tracer.add_sink(StagePrinter(
+            stages="farm.shard" if args.shards else "farm.job"))
     report = farm.run(matrix, force=args.force)
     print(report.render())
     print(report.summary())
@@ -670,7 +662,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="farm worker processes per batch (default 1); "
                         "with --shards, processes per shard")
     p.add_argument("--shards", type=int, default=0,
-                   help="run batches through a sharded coordinator "
+                   help="shard each farm batch's key space over N "
+                        "workers, then merge their stores "
                         "(0 = unsharded)")
     p.add_argument("--shard-root",
                    help="per-shard store/spec directory "
@@ -719,7 +712,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="farm worker processes per batch (default 1)")
     p.add_argument("--shards", type=int, default=0,
-                   help="run batches through a sharded coordinator "
+                   help="shard each farm batch's key space over N "
+                        "workers, then merge their stores "
                         "(0 = unsharded)")
     p.add_argument("--shard-root",
                    help="per-shard store/spec directory "

@@ -51,6 +51,9 @@ _MODE_FROM_ID = {v: k for k, v in _MODE_IDS.items()}
 _FIXED = struct.Struct("<4sHBBB")
 _GEOMETRY = struct.Struct("<QQQIII")
 
+#: the smallest instruction slot (an RVC halfword)
+_MIN_SLOT_BYTES = 2
+
 _FLAG_DATA_SIGNED = 0x01
 _FLAG_DATA_ENCRYPTED = 0x02
 
@@ -115,7 +118,10 @@ class ProgramPackage:
                                      f"{version}")
         if mode_id not in _MODE_FROM_ID:
             raise PackageFormatError(f"unknown mode id {mode_id}")
-        cipher = take(cipher_len, "cipher name").decode("utf-8")
+        try:
+            cipher = take(cipher_len, "cipher name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise PackageFormatError("cipher name is not UTF-8") from None
         n_fields = take(1, "field count")[0]
         field_ids = take(n_fields, "field classes")
         try:
@@ -125,14 +131,20 @@ class ProgramPackage:
         entry, text_base, data_base, text_len, data_len, slot_count = \
             _GEOMETRY.unpack(take(_GEOMETRY.size, "geometry"))
         mode = _MODE_FROM_ID[mode_id]
-        if mode is EncryptionMode.FULL:
-            # all-ones map is implied; not carried on the wire (§IV.A)
-            enc_map = EncryptionMap.full(slot_count)
-        else:
-            map_len = (slot_count + 7) // 8
-            enc_map = EncryptionMap(take(map_len, "encryption map"),
-                                    slot_count)
+        # all-ones full-mode map is implied; not carried on the wire
+        # (§IV.A)
+        map_bits = None if mode is EncryptionMode.FULL \
+            else take((slot_count + 7) // 8, "encryption map")
         enc_text = take(text_len, "text")
+        if slot_count * _MIN_SLOT_BYTES > len(enc_text):
+            # checked against text actually present, before the map is
+            # built: a full-mode map costs one loop step per claimed
+            # slot, and the u32 allows 2^32-1
+            raise PackageFormatError(
+                f"{slot_count} instruction slots cannot fit in "
+                f"{text_len} text bytes")
+        enc_map = EncryptionMap.full(slot_count) if map_bits is None \
+            else EncryptionMap(map_bits, slot_count)
         data = take(data_len, "data")
         enc_signature = take(SIGNATURE_BYTES, "signature")
         if cursor != len(blob):

@@ -52,19 +52,16 @@ def main(argv: list[str]) -> int:
     if any(name in FARM_EXPERIMENTS for name in names):
         # one farm for the whole invocation: fig5/6/7 share the worker
         # pool budget and, when --store is given, one result store
-        from repro.farm import FarmCoordinator, ResultStore, SimulationFarm
+        from repro.farm import ResultStore, SimulationFarm
         store = ResultStore(args.store) if args.store else None
         if store is not None and store.skipped_warning():
             print(f"warning: {store.skipped_warning()}", file=sys.stderr)
-        if args.shards:
-            if store is None:
-                print("--shards needs --store: shard stores merge into "
-                      "the main result store", file=sys.stderr)
-                return 2
-            farm = FarmCoordinator(store=store, shards=args.shards,
-                                   jobs_per_shard=args.jobs)
-        else:
-            farm = SimulationFarm(store=store, jobs=args.jobs)
+        if args.shards and store is None:
+            print("--shards needs --store: shard stores merge into "
+                  "the main result store", file=sys.stderr)
+            return 2
+        farm = SimulationFarm(store=store, jobs=args.jobs,
+                              shards=args.shards)
     for name in names:
         if name in FARM_EXPERIMENTS:
             result = EXPERIMENTS[name].run(farm=farm, force=args.force)

@@ -21,21 +21,19 @@ The figure modules (:mod:`repro.eval.fig5`/``fig6``/``fig7``) and the
 ablation benchmarks source their measurements through this subsystem;
 ``eric sweep`` exposes it on the command line.
 
-Scaling past one machine, :class:`~repro.farm.coordinator.FarmCoordinator`
-shards a matrix's key space into contiguous ranges
+Scaling past one machine, the same farm with ``shards=N`` cuts the
+pending key space into contiguous ranges
 (:class:`~repro.farm.spec.ShardPlan`), runs each shard as its own farm
 against a per-shard store (:mod:`repro.farm.worker`, also the ``eric
 worker`` entry point for remote machines), and merges the shard stores
 back last-record-wins (:meth:`ResultStore.merge_from`)::
 
-    from repro.farm import FarmCoordinator, JobMatrix, ResultStore
-
-    coordinator = FarmCoordinator(
-        store=ResultStore("benchmarks/results/farm"), shards=4)
-    report = coordinator.run(JobMatrix(workloads=("crc32", "fft")))
+    farm = SimulationFarm(store=ResultStore("benchmarks/results/farm"),
+                          shards=4)
+    report = farm.run(JobMatrix(workloads=("crc32", "fft")))
 """
 
-from repro.farm.coordinator import FarmCoordinator, ShardOutcome
+from repro.farm.coordinator import ShardOutcome
 from repro.farm.doctor import (ShardLeftover, StoreDiagnosis,
                                diagnose_store)
 from repro.farm.executor import (DYNAMIC_ATTACKER_SEEDS,
@@ -52,7 +50,6 @@ __all__ = [
     "DEFAULT_STORE_DIR",
     "DYNAMIC_ATTACKER_SEEDS",
     "KEY_STABILITY_READS",
-    "FarmCoordinator",
     "FarmJobResult",
     "FarmRecord",
     "FarmReport",

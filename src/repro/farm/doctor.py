@@ -215,7 +215,7 @@ def diagnose_store(root: str | Path,
     """Inspect a result store directory without touching it.
 
     ``shard_root`` defaults to ``<root>/shards`` — the same convention
-    :class:`~repro.farm.coordinator.FarmCoordinator` writes to.
+    a sharded :class:`~repro.farm.executor.SimulationFarm` writes to.
     """
     root = Path(root)
     path = root / ResultStore.filename

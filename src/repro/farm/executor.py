@@ -1,10 +1,12 @@
-"""SimulationFarm: fan a job matrix out over worker processes.
+"""SimulationFarm: fan a job matrix out over worker processes or shards.
 
 The MiniC interpreter and the SoC timing loop are pure-Python and
 CPU-bound, so the farm uses a :class:`~concurrent.futures.ProcessPoolExecutor`
 (threads would serialize on the GIL).  ``jobs=1`` runs inline in the
 calling process — the baseline the parallel benchmark compares against,
-and the mode unit tests use.
+and the mode unit tests use.  ``shards=N`` instead cuts the pending
+jobs into key ranges run as separate worker farms
+(:mod:`repro.farm.coordinator`).
 
 Per-job failure isolation: a job that raises records an error outcome
 and the rest of the matrix proceeds; failed jobs are never persisted,
@@ -27,8 +29,9 @@ import hashlib
 from repro.core.compiler_driver import EricCompiler, source_digest
 from repro.core.device import Device
 from repro.errors import ConfigError, EricError
+from repro.farm.coordinator import run_shards
 from repro.farm.spec import JobMatrix, JobSpec, SimParams
-from repro.farm.store import FarmRecord, ResultStore
+from repro.farm.store import FarmRecord, MergeStats, ResultStore
 from repro.obs.metrics import METRICS
 from repro.obs.trace import TraceContext, Tracer
 from repro.statics.fingerprint import model_fingerprint
@@ -292,10 +295,9 @@ class FarmReport:
     wall_s: float
     jobs: int
     store_path: str | None
-    #: the coordinator's *configured* shard count when a FarmCoordinator
-    #: produced the report (like ``jobs``, this reports configuration,
-    #: not how many shards a possibly-warm run actually dispatched);
-    #: 0 for a plain single-store SimulationFarm run
+    #: the farm's *configured* shard count (like ``jobs``, this reports
+    #: configuration, not how many shards a possibly-warm run actually
+    #: dispatched); 0 for an unsharded run
     shards: int = 0
 
     @property
@@ -453,90 +455,69 @@ class FarmReport:
             rows, title="Simulation-farm sweep", stable=stable)
 
 
-def expand_specs(matrix) -> tuple[JobSpec, ...]:
-    """Normalize a matrix-or-spec-sequence into validated JobSpecs
-    (shared by the farm, the coordinator, and shard planning)."""
-    specs = (matrix.jobs() if isinstance(matrix, JobMatrix)
-             else tuple(s.validate() for s in matrix))
-    if not specs:
-        raise ConfigError("nothing to run: empty job list")
-    return specs
-
-
-def serve_store_hits(specs, keys, store, force, results, announce):
-    """Phase 1 of any farm run: fill ``results`` with store hits and
-    map duplicate keys onto their executing slot.
-
-    Returns ``(pending, followers, done)`` — indices left to execute,
-    duplicate-slot -> leader-slot mapping, and jobs announced so far.
-    Shared verbatim by :class:`SimulationFarm` and the coordinator so
-    hit/dedup semantics cannot drift between the two.
-    """
-    pending: list[int] = []
-    first_index: dict[str, int] = {}
-    followers: dict[int, int] = {}
-    done = 0
-    for i, (spec, key) in enumerate(zip(specs, keys)):
-        record = None if (force or store is None) else store.get(key)
-        if record is not None:
-            results[i] = FarmJobResult(spec=spec, record=record,
-                                       error=None, from_store=True,
-                                       wall_s=0.0)
-            done += 1
-            announce(done, len(specs), results[i])
-        elif key in first_index:
-            followers[i] = first_index[key]
-        else:
-            first_index[key] = i
-            pending.append(i)
-    return pending, followers, done
-
-
-def share_follower_outcomes(specs, results, followers, done, announce):
-    """Final phase of any farm run: duplicate slots adopt their
-    leader's outcome (marked ``shared``).  Returns the updated count."""
-    for i, leader in followers.items():
-        outcome = results[leader]
-        results[i] = FarmJobResult(spec=specs[i], record=outcome.record,
-                                   error=outcome.error,
-                                   from_store=outcome.from_store,
-                                   wall_s=0.0, shared=True)
-        done += 1
-        announce(done, len(specs), results[i])
-    return done
-
-
 class SimulationFarm:
     """Executes job matrices against a result store.
 
+    Every run serves store hits, lets duplicate keys in one matrix
+    share a single measurement, and dispatches the remaining jobs in
+    one of three ways: inline (``jobs=1``), over a process pool, or —
+    with ``shards`` — as per-shard worker farms whose stores merge back
+    into this one (:func:`repro.farm.coordinator.run_shards`).
+
     Args:
         store: persistent record store; None measures everything
-            in-memory (nothing skipped, nothing persisted).
-        jobs: worker processes; 1 = inline in this process.
+            in-memory (nothing skipped, nothing persisted).  Sharded
+            runs require one: merging is how their records come back.
+        jobs: worker processes; 1 = inline in this process.  With
+            ``shards``, the processes *inside* each shard's farm.
+        shards: 0 runs pending jobs here; N > 0 cuts them into at most
+            N contiguous key ranges (:class:`~repro.farm.spec.ShardPlan`)
+            and runs each as its own worker farm.
+        shard_root: where per-shard stores and specs live (default:
+            ``<store>/shards``); used only with ``shards``.
         progress: optional ``callback(done, total, result)`` fired once
-            per job as outcomes land (store hits first).
+            per job as outcomes land (store hits first; a sharded run's
+            jobs once their shard store has merged).
         tracer: the :class:`~repro.obs.trace.Tracer` the farm emits
             through (a memory-only one if not given): every run is a
-            ``farm.sweep`` span and every outcome a ``farm.job`` event.
-            When it is file-backed, each executed job is also a
-            worker-side ``farm.job`` span under the sweep, written by
-            the worker *subprocesses* themselves.
+            ``farm.sweep`` span, every outcome a ``farm.job`` event and
+            every completed shard a ``farm.shard`` event.  When it is
+            file-backed, each executed job is also a worker-side
+            ``farm.job`` span under the sweep, written by the worker
+            *subprocesses* themselves; a sharded run writes the sweep's
+            context into every shard.json and merges each worker's
+            shard-store trace file back next to the records.
         metrics: feed the process-wide registry (``store.hits``,
-            ``farm.executed``, …).  Shard workers run with False so a
-            coordinator dispatching a shard in-process never counts a
-            job twice.
+            ``farm.executed``, …).  Shard workers run with False: a
+            one-shard plan runs its worker farm in this process, which
+            would otherwise count every job twice.
     """
 
     def __init__(self, store: ResultStore | None = None, jobs: int = 1,
+                 shards: int = 0, shard_root: str | Path | None = None,
                  progress=None, tracer: Tracer | None = None,
                  metrics: bool = True) -> None:
         if jobs < 1:
             raise ConfigError("jobs must be at least 1")
+        if shards < 0:
+            raise ConfigError("shards must be non-negative")
+        if shards and store is None:
+            raise ConfigError(
+                "a sharded farm needs a main store to merge shard "
+                "results into; pass store= or run with shards=0")
         self.store = store
         self.jobs = jobs
+        self.shards = shards
+        self.shard_root = None
+        if shards:
+            self.shard_root = (Path(shard_root) if shard_root is not None
+                               else store.root / "shards")
         self.progress = progress
         self.tracer = tracer if tracer is not None else Tracer()
         self._metrics = metrics
+        #: per-shard merge outcomes of the last sharded run (CLI
+        #: reporting)
+        self.last_merge: tuple[MergeStats, ...] = ()
 
     def run(self, matrix: JobMatrix | tuple[JobSpec, ...] | list[JobSpec],
             force: bool = False,
@@ -549,71 +530,97 @@ class SimulationFarm:
         is a ``farm.sweep`` span parented under ``trace_parent`` (e.g.
         a scheduler batch span).
         """
-        specs = expand_specs(matrix)
+        specs = (matrix.jobs() if isinstance(matrix, JobMatrix)
+                 else tuple(s.validate() for s in matrix))
+        if not specs:
+            raise ConfigError("nothing to run: empty job list")
         start = time.perf_counter()
         keys = [spec.key() for spec in specs]
-        results: list[FarmJobResult | None] = [None] * len(specs)
         total = len(specs)
+        results: list[FarmJobResult | None] = [None] * total
+        attrs = {"jobs": total}
+        if self.shards:
+            attrs["shards"] = self.shards
         span = self.tracer.start("farm.sweep", parent=trace_parent,
-                                 attrs={"jobs": total})
+                                 attrs=attrs)
 
         # -- phase 1: serve store hits; dedupe within the matrix ----------
-        pending, followers, done = serve_store_hits(
-            specs, keys, self.store, force, results, self._announce)
+        pending: list[int] = []
+        leaders: dict[str, int] = {}
+        followers: dict[int, int] = {}
+        done = 0
+        for i, (spec, key) in enumerate(zip(specs, keys)):
+            record = None if (force or self.store is None) \
+                else self.store.get(key)
+            if record is not None:
+                results[i] = FarmJobResult(spec=spec, record=record,
+                                           error=None, from_store=True,
+                                           wall_s=0.0)
+                done += 1
+                self._announce(done, total, results[i])
+            elif key in leaders:
+                followers[i] = leaders[key]
+            else:
+                leaders[key] = i
+                pending.append(i)
 
-        # -- phase 2: execute the rest ------------------------------------
-        trace = None
-        if self.tracer.path is not None:
-            trace = {**span.context.to_wire(),
-                     "dir": str(self.tracer.path.parent)}
-        for i, record, error, wall_s in self._execute(specs, pending,
-                                                      trace):
-            if record is not None and self.store is not None:
+        # -- phase 2: dispatch the rest -----------------------------------
+        # trace context crosses into worker processes only when their
+        # spans have a file to land in
+        wire = (span.context.to_wire() if self.tracer.path is not None
+                else None)
+        if self.shards:
+            finished, self.last_merge = run_shards(
+                self.store, specs, pending, shards=self.shards,
+                shard_root=self.shard_root, jobs=self.jobs, force=force,
+                tracer=self.tracer, trace=wire)
+        else:
+            trace = None if wire is None else {
+                **wire, "dir": str(self.tracer.path.parent)}
+            finished = self._execute(specs, pending, trace)
+        for i, record, error, wall_s, from_store in finished:
+            if record is not None and self.store is not None \
+                    and not self.shards:  # shard records arrive merged
                 self.store.put(record)
             results[i] = FarmJobResult(spec=specs[i], record=record,
-                                       error=error, from_store=False,
+                                       error=error, from_store=from_store,
                                        wall_s=wall_s)
             done += 1
             self._announce(done, total, results[i])
 
         # -- phase 3: duplicates share the executing slot's outcome -------
-        share_follower_outcomes(specs, results, followers, done,
-                                self._announce)
+        for i, leader in followers.items():
+            outcome = results[leader]
+            results[i] = FarmJobResult(spec=specs[i], record=outcome.record,
+                                       error=outcome.error,
+                                       from_store=outcome.from_store,
+                                       wall_s=0.0, shared=True)
+            done += 1
+            self._announce(done, total, results[i])
 
-        wall_s = time.perf_counter() - start
         report = FarmReport(
-            results=tuple(results), wall_s=wall_s, jobs=self.jobs,
-            store_path=str(self.store.path) if self.store else None)
-        span.finish(ok=not report.failures,
-                    detail=(f"{report.hits} hits / {report.executed} "
-                            f"executed / {len(report.failures)} failed"))
+            results=tuple(results), wall_s=time.perf_counter() - start,
+            jobs=self.jobs,
+            store_path=str(self.store.path) if self.store else None,
+            shards=self.shards)
+        detail = (f"{report.hits} hits / {report.executed} executed / "
+                  f"{len(report.failures)} failed")
+        if self.shards:
+            detail += f" across {len(self.last_merge)} shard(s)"
+        span.finish(ok=not report.failures, detail=detail)
         return report
 
-    def run_batch(self, specs, force: bool = False,
-                  trace_parent: TraceContext | None = None,
-                  ) -> tuple[FarmReport, dict[str, FarmJobResult]]:
-        """Batch-submission entry point: measure an arbitrary bag of
-        specs collected from many requesters (the async scheduler's
-        shared queue) and return ``(report, outcomes_by_key)``.
-
-        Exactly :meth:`run` semantics — store hits served, duplicate
-        keys executed once — plus the key-indexed fan-back map, so a
-        caller multiplexing requests never has to re-correlate slots
-        with submission order.
-        """
-        report = self.run(tuple(specs), force=force,
-                          trace_parent=trace_parent)
-        return report, report.by_key()
-
     def _execute(self, specs, pending, trace: dict | None = None):
-        """Yield (index, record, error, wall_s) as pending jobs finish."""
+        """Run pending jobs here or over a process pool; yield
+        (index, record, error, wall_s, from_store) as jobs finish."""
         if not pending:
             return
         if self.jobs == 1 or len(pending) == 1:
             for i in pending:
                 job_start = time.perf_counter()
                 record, error = _execute_safe(specs[i], trace)
-                yield i, record, error, time.perf_counter() - job_start
+                yield (i, record, error,
+                       time.perf_counter() - job_start, False)
             return
         workers = min(self.jobs, len(pending))
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -635,7 +642,7 @@ class SimulationFarm:
                     except Exception as exc:  # pool/pickle failure
                         record, error = None, (
                             f"{type(exc).__name__}: {exc}")
-                    yield i, record, error, wall_s
+                    yield i, record, error, wall_s, False
 
     def _announce(self, done: int, total: int,
                   result: FarmJobResult) -> None:
@@ -649,9 +656,10 @@ class SimulationFarm:
             else:
                 METRICS.inc("farm.executed")
                 METRICS.observe("farm.job.wall_s", result.wall_s)
+        executed = "merged from shard" if self.shards else "executed"
         self.tracer.event("farm.job", result.wall_s, ok=result.ok,
                           detail=("store hit" if result.from_store
-                                  else result.error or "executed"),
+                                  else result.error or executed),
                           attrs={"program": result.spec.display_name})
         if self.progress is not None:
             try:

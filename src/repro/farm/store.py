@@ -313,7 +313,7 @@ class ResultStore(AppendLog[FarmRecord]):
         atomically (and therefore also compacted).
 
         ``keys``, when given, restricts the merge to those job keys.
-        The coordinator passes each shard's *planned* key set so a
+        A sharded farm passes each shard's *planned* key set so a
         reused shard directory cannot resurrect leftover records from
         an earlier run — stale lines outside the plan would otherwise
         win over fresher (e.g. ``--force``-re-measured) main-store

@@ -4,11 +4,12 @@ A worker machine receives one shard spec (JSON written by
 :meth:`repro.farm.spec.ShardSpec.to_spec`), runs its jobs through the
 ordinary :class:`~repro.farm.executor.SimulationFarm` against a local
 :class:`~repro.farm.store.ResultStore`, and ships the store's
-``results.jsonl`` back for the coordinator to
+``results.jsonl`` back for the sharded farm to
 :meth:`~repro.farm.store.ResultStore.merge_from`.  ``eric worker
-shard.json --store DIR`` is the command-line wrapper; the in-process
-coordinator dispatches the same :func:`run_shard` via a process pool,
-so local and remote shards execute byte-identically.
+shard.json --store DIR`` is the command-line wrapper; a sharded
+:class:`~repro.farm.executor.SimulationFarm` dispatches the same
+:func:`run_shard` via a process pool, so local and remote shards
+execute byte-identically.
 
 A worker's store is itself resumable: re-running a shard after a crash
 serves the already-measured keys from the shard store and only
@@ -28,7 +29,7 @@ from repro.obs.trace import TraceContext, Tracer
 
 
 def read_shard_trace(path: str | Path) -> dict | None:
-    """The optional ``"trace"`` wire context a coordinator wrote into a
+    """The optional ``"trace"`` wire context a sharded farm wrote into a
     shard spec file.  Returns None when absent or unreadable — a shard
     written before tracing (or hand-edited) still runs."""
     try:
@@ -64,16 +65,16 @@ def run_shard(shard: ShardSpec, store_dir: str | Path, jobs: int = 1,
     The shard's jobs run exactly like any other matrix — store hits are
     served, the rest simulate (``jobs`` worker processes) — and every
     completed record lands in ``store_dir``'s JSONL, ready to be merged
-    into the coordinator's main store.
+    into the sharded farm's main store.
 
     The shard runs under a ``worker.shard`` span; ``sink`` (a tracer
     sink, see :mod:`repro.obs.sinks`) sees it along with the shard
     farm's ``farm.sweep`` span and ``farm.job`` events.  With a
-    ``trace`` wire context (the coordinator's ``"trace"`` key in
+    ``trace`` wire context (the sharded farm's ``"trace"`` key in
     shard.json) the spans are also written to ``store_dir``'s own
     trace.jsonl — shipped/merged back alongside the results exactly
     like the records themselves.  The farm runs with ``metrics=False``:
-    job counts belong to the coordinator's process-wide registry, not
+    job counts belong to the sharded farm's process-wide registry, not
     to each shard's.
     """
     parent = TraceContext.from_wire(trace) if trace else None

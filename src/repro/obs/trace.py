@@ -4,7 +4,7 @@ A *trace* is one request's trip through every layer — daemon request →
 scheduler fleet → farm batch/sweep → job — stitched together by span
 IDs and parent links.  Spans cross process boundaries as small wire
 dicts (:meth:`TraceContext.to_wire`): the farm puts one into each
-``ProcessPoolExecutor`` job payload, and the coordinator writes one
+``ProcessPoolExecutor`` job payload, and a sharded farm writes one
 into every ``shard.json``, so a worker subprocess (or a remote ``eric
 worker``) parents its spans under the dispatching run.
 

@@ -123,8 +123,9 @@ class ServeDaemon:
             ``jobs`` / ``shards``); must expose ``measure``,
             ``tracer``, ``batch_reports``, and ``aclose``.
         policy: admission policy (default :class:`AdmissionPolicy`).
-        jobs / shards / shard_root: farm knobs for the built-in
-            scheduler (as :class:`FleetScheduler`).
+        jobs / shards / shard_root: the built-in scheduler's
+            :class:`~repro.farm.executor.SimulationFarm` knobs (as
+            :class:`FleetScheduler`).
         max_active: requests served concurrently; admitted requests
             beyond this wait their turn in priority order.
         checkpoint_every: jobs measured per chunk between shutdown

@@ -17,9 +17,8 @@ that removes both redundancies:
   farm/store pair.  Every in-flight fleet submits its measurement jobs
   to a shared batch queue; the batcher dedups them by farm job key,
   executes each unique job exactly once through
-  :class:`~repro.farm.executor.SimulationFarm` (or a sharded
-  :class:`~repro.farm.coordinator.FarmCoordinator`), and fans the
-  results back to every awaiting fleet.
+  :class:`~repro.farm.executor.SimulationFarm` (sharded or not), and
+  fans the results back to every awaiting fleet.
 
 ::
 
@@ -48,7 +47,6 @@ from repro.core.compiler_driver import CompiledArtifact, source_digest
 from repro.core.config import EricConfig
 from repro.core.device import Device
 from repro.errors import ConfigError, EricError, ProvisioningError
-from repro.farm.coordinator import FarmCoordinator
 from repro.farm.executor import FarmJobResult, FarmReport, SimulationFarm
 from repro.farm.spec import JobMatrix, JobSpec
 from repro.farm.store import ResultStore
@@ -422,9 +420,9 @@ class FleetScheduler:
             ``session``).
         jobs: farm worker processes per batch (with ``shards``,
             processes per shard).
-        shards: >0 runs batches through a sharded
-            :class:`FarmCoordinator` (requires ``store``).
-        shard_root: per-shard store/spec directory (coordinator only).
+        shards: >0 shards every batch over that many worker farms
+            whose stores merge into ``store`` (required then).
+        shard_root: per-shard store/spec directory (sharded only).
         max_concurrency: bound on concurrently-running blocking stages.
         batch_window: the most seconds the batcher lingers before a
             drain while a fleet :meth:`deploy_fleet` began is still
@@ -470,17 +468,9 @@ class FleetScheduler:
                               "config/tracer knobs, not both: a "
                               "session brings its own")
         self.tracer = session.tracer
-        if shards:
-            if store is None:
-                raise ConfigError("sharded scheduling merges shard "
-                                  "stores into a main store; pass store=")
-            self.farm = FarmCoordinator(store=store, shards=shards,
-                                        jobs_per_shard=jobs,
-                                        shard_root=shard_root,
-                                        tracer=self.tracer)
-        else:
-            self.farm = SimulationFarm(store=store, jobs=jobs,
-                                       tracer=self.tracer)
+        self.farm = SimulationFarm(store=store, jobs=jobs, shards=shards,
+                                   shard_root=shard_root,
+                                   tracer=self.tracer)
         self.store = store
         self.batch_window = batch_window
         self.async_session = AsyncDeploymentSession(
@@ -625,8 +615,8 @@ class FleetScheduler:
                                  attrs={"jobs": len(batch),
                                         "forced": force})
         try:
-            report, outcomes = await loop.run_in_executor(
-                None, self.farm.run_batch, specs, force, span.context)
+            report = await loop.run_in_executor(
+                None, self.farm.run, specs, force, span.context)
         except Exception as exc:  # farm/store failure: fail the batch,
             error = EricError(                # never the batcher itself
                 f"farm batch of {len(batch)} job(s) failed: "
@@ -638,6 +628,7 @@ class FleetScheduler:
                     future.set_exception(error)
             return
         self.batch_reports.append(report)
+        outcomes = report.by_key()
         span.finish(ok=not report.failures,
                     detail=(f"{len(batch)} unique job(s): {report.hits} "
                             f"hit(s), {report.executed} executed, "

@@ -6,9 +6,10 @@ import pytest
 
 from repro.core.config import EncryptionMode, EricConfig
 from repro.errors import ConfigError, EricError
-from repro.farm import (FarmCoordinator, JobMatrix, JobSpec, ResultStore,
-                        ShardPlan, ShardSpec, SimParams, SimulationFarm,
-                        load_shard, run_shard)
+from repro.farm import (JobMatrix, JobSpec, ResultStore, ShardPlan,
+                        ShardSpec, SimParams, SimulationFarm, load_shard,
+                        run_shard)
+from repro.farm import coordinator as coordinator_module
 from repro.puf.environment import Environment
 
 HELLO = 'int main() { print_int(41); print_char(10); return 0; }\n'
@@ -166,7 +167,24 @@ class TestWorker:
             load_shard(path)
 
 
+@pytest.fixture
+def dispatched(monkeypatch):
+    """Every :class:`ShardPlan` a sharded farm dispatches, in order."""
+    plans = []
+    real_dispatch = coordinator_module.dispatch_shards
+
+    def spy(plan, *args):
+        plans.append(plan)
+        return real_dispatch(plan, *args)
+
+    monkeypatch.setattr(coordinator_module, "dispatch_shards", spy)
+    return plans
+
+
 class TestCoordinator:
+    """A farm built with ``shards`` dispatches its pending jobs as
+    per-shard worker farms and merges their stores back."""
+
     def test_sharded_records_match_unsharded(self, tmp_path):
         """The acceptance criterion: a sharded sweep's records are
         byte-identical (modulo wall-clock fields) to a jobs=1 sweep of
@@ -176,47 +194,50 @@ class TestCoordinator:
             store=ResultStore(tmp_path / "ref")).run(MATRIX)
         reference.require_ok()
 
-        coordinator = FarmCoordinator(store=ResultStore(tmp_path / "main"),
-                                      shards=2)
-        report = coordinator.run(MATRIX)
+        farm = SimulationFarm(store=ResultStore(tmp_path / "main"),
+                              shards=2)
+        report = farm.run(MATRIX)
         report.require_ok()
         assert report.executed == 4 and report.hits == 0
         assert report.shards == 2
         assert "shards=2" in report.summary()
         assert {r.key: r.stable_dict() for r in report.records} \
             == {r.key: r.stable_dict() for r in reference.records}
-        assert [stats.merged for stats in coordinator.last_merge] == [2, 2]
+        assert [stats.merged for stats in farm.last_merge] == [2, 2]
 
         resumed = SimulationFarm(
             store=ResultStore(tmp_path / "main")).run(MATRIX)
         assert resumed.executed == 0
         assert resumed.hit_rate == 1.0
 
-    def test_warm_main_store_dispatches_nothing(self, tmp_path):
+    def test_warm_main_store_dispatches_nothing(self, tmp_path,
+                                                dispatched):
         store = ResultStore(tmp_path)
-        coordinator = FarmCoordinator(store=store, shards=2)
-        coordinator.run(MATRIX)
-        again = coordinator.run(MATRIX)
+        farm = SimulationFarm(store=store, shards=2)
+        farm.run(MATRIX)
+        assert [plan.count for plan in dispatched] == [2]
+        again = farm.run(MATRIX)
         assert again.executed == 0 and again.hit_rate == 1.0
-        assert coordinator.plan(MATRIX).count == 0
-        assert coordinator.last_merge == ()
+        assert [plan.count for plan in dispatched] == [2]
+        assert farm.last_merge == ()
 
-    def test_partial_resume_shards_only_the_missing_keys(self, tmp_path):
+    def test_partial_resume_shards_only_the_missing_keys(self, tmp_path,
+                                                         dispatched):
         store = ResultStore(tmp_path)
         half = JobMatrix(programs=(("hello", HELLO),),
                          configs=MATRIX.configs, simulate=False)
         SimulationFarm(store=store).run(half)
 
-        coordinator = FarmCoordinator(store=store, shards=2)
-        assert coordinator.plan(MATRIX).job_count == 2
-        report = coordinator.run(MATRIX)
+        farm = SimulationFarm(store=store, shards=2)
+        report = farm.run(MATRIX)
+        [plan] = dispatched
+        assert plan.job_count == 2
         assert report.hits == 2
         assert report.executed == 2
 
     def test_failures_carry_worker_tracebacks(self, tmp_path):
-        coordinator = FarmCoordinator(store=ResultStore(tmp_path),
-                                      shards=2)
-        report = coordinator.run([
+        farm = SimulationFarm(store=ResultStore(tmp_path), shards=2)
+        report = farm.run([
             JobSpec(source=BROKEN, name="broken", simulate=False),
             JobSpec(source=HELLO, name="hello", simulate=False),
         ])
@@ -232,9 +253,8 @@ class TestCoordinator:
         assert len(ResultStore(tmp_path)) == 1
 
     def test_duplicate_keys_share_one_shard_slot(self, tmp_path):
-        coordinator = FarmCoordinator(store=ResultStore(tmp_path),
-                                      shards=2)
-        report = coordinator.run([
+        farm = SimulationFarm(store=ResultStore(tmp_path), shards=2)
+        report = farm.run([
             JobSpec(source=HELLO, name="a", simulate=False),
             JobSpec(source=HELLO, name="b", simulate=False),
         ])
@@ -244,15 +264,15 @@ class TestCoordinator:
         assert report.records[0].key == report.records[1].key
 
     def test_crashed_coordinator_resumes_from_shard_stores(self, tmp_path):
-        """If the coordinator dies after workers finish but before the
+        """If the sharded farm dies after workers finish but before the
         merge, a re-run serves the shard stores' records as hits
         instead of re-simulating."""
-        first = FarmCoordinator(store=ResultStore(tmp_path / "a"),
-                                shards=2, shard_root=tmp_path / "shards")
+        first = SimulationFarm(store=ResultStore(tmp_path / "a"),
+                               shards=2, shard_root=tmp_path / "shards")
         first.run(MATRIX)
         # model the crash: a fresh main store, same shard root
-        second = FarmCoordinator(store=ResultStore(tmp_path / "b"),
-                                 shards=2, shard_root=tmp_path / "shards")
+        second = SimulationFarm(store=ResultStore(tmp_path / "b"),
+                                shards=2, shard_root=tmp_path / "shards")
         report = second.run(MATRIX)
         report.require_ok()
         assert report.executed == 0
@@ -279,13 +299,13 @@ class TestCoordinator:
         stale = replace(fresh, package_size=fresh.package_size + 999)
         ResultStore(tmp_path / "shards" / "shard-00").put(stale)
 
-        coordinator = FarmCoordinator(store=main, shards=2,
-                                      shard_root=tmp_path / "shards")
-        report = coordinator.run(MATRIX)
+        farm = SimulationFarm(store=main, shards=2,
+                              shard_root=tmp_path / "shards")
+        report = farm.run(MATRIX)
         report.require_ok()
         assert main.get(fresh.key).package_size == fresh.package_size
-        assert sum(stats.ignored for stats in coordinator.last_merge) == 1
-        assert "out-of-plan" in coordinator.last_merge[0].describe()
+        assert sum(stats.ignored for stats in farm.last_merge) == 1
+        assert "out-of-plan" in farm.last_merge[0].describe()
 
     def test_worker_death_spares_already_completed_jobs(self, tmp_path,
                                                         monkeypatch):
@@ -294,15 +314,14 @@ class TestCoordinator:
         records had already been persisted and merged."""
         from repro.farm import ShardOutcome
 
-        coordinator = FarmCoordinator(store=ResultStore(tmp_path / "main"),
-                                      shards=2,
-                                      shard_root=tmp_path / "shards")
-        real_dispatch = coordinator._dispatch
+        farm = SimulationFarm(store=ResultStore(tmp_path / "main"),
+                              shards=2, shard_root=tmp_path / "shards")
+        real_dispatch = coordinator_module.dispatch_shards
 
-        def dying_dispatch(plan, force, trace):
+        def dying_dispatch(plan, *args):
             # workers complete and persist normally, but shard 0's
             # outcome is lost as if its process died at the very end
-            outcomes = real_dispatch(plan, force, trace)
+            outcomes = real_dispatch(plan, *args)
             return [
                 outcome if outcome.index != 0 else ShardOutcome(
                     index=0, store_dir=outcome.store_dir, executed=0,
@@ -313,8 +332,9 @@ class TestCoordinator:
                     wall_s=0.0)
                 for outcome in outcomes]
 
-        monkeypatch.setattr(coordinator, "_dispatch", dying_dispatch)
-        report = coordinator.run(MATRIX)
+        monkeypatch.setattr(coordinator_module, "dispatch_shards",
+                            dying_dispatch)
+        report = farm.run(MATRIX)
         # every record merged, so no job may be reported as failed
         report.require_ok()
         assert len(report.records) == 4
@@ -322,7 +342,7 @@ class TestCoordinator:
 
         # under --force the record may predate the re-measure, so the
         # worker death must surface as a failure there
-        forced = coordinator.run(MATRIX, force=True)
+        forced = farm.run(MATRIX, force=True)
         assert len(forced.failures) == 2
         assert all("worker died" in f.error for f in forced.failures)
         # the farm invariant: a failed slot carries no record
@@ -330,26 +350,25 @@ class TestCoordinator:
 
     def test_rejects_bad_configuration(self, tmp_path):
         with pytest.raises(ConfigError, match="main store"):
-            FarmCoordinator(store=None)
+            SimulationFarm(store=None, shards=2)
         with pytest.raises(ConfigError):
-            FarmCoordinator(store=ResultStore(tmp_path), shards=0)
+            SimulationFarm(store=ResultStore(tmp_path), shards=-1)
         with pytest.raises(ConfigError):
-            FarmCoordinator(store=ResultStore(tmp_path),
-                            jobs_per_shard=0)
+            SimulationFarm(store=ResultStore(tmp_path), shards=2, jobs=0)
         with pytest.raises(ConfigError):
-            FarmCoordinator(store=ResultStore(tmp_path)).run([])
+            SimulationFarm(store=ResultStore(tmp_path), shards=2).run([])
 
     def test_telemetry_and_progress(self, tmp_path):
         from repro.obs.sinks import RecordingTelemetry
 
         sink = RecordingTelemetry()
         seen = []
-        coordinator = FarmCoordinator(
+        farm = SimulationFarm(
             store=ResultStore(tmp_path), shards=2,
             progress=lambda done, total, result:
                 seen.append((done, total, result.from_store)))
-        coordinator.tracer.add_sink(sink)
-        coordinator.run(MATRIX)
+        farm.tracer.add_sink(sink)
+        farm.run(MATRIX)
         assert len(sink.stages("farm.shard")) == 2
         [sweep] = sink.stages("farm.sweep")
         assert "2 shard(s)" in sweep.detail

@@ -2,7 +2,9 @@
 
 Random synthetic programs (arbitrary valid instruction streams + random
 data) must round-trip through encrypt -> package -> HDE decrypt for every
-mode, and must *never* survive a wrong-key decryption.
+mode, and must *never* survive a wrong-key decryption.  Corrupted
+package bytes — the untrusted input of a device — must fail only with
+typed :class:`~repro.errors.EricError` subclasses.
 """
 
 import pytest
@@ -15,7 +17,7 @@ from repro.core.encryptor import encrypt_program
 from repro.core.keys import KeyManagementUnit, puf_based_key
 from repro.core.package import ProgramPackage
 from repro.core.signature import compute_signature
-from repro.errors import ValidationError
+from repro.errors import EricError, PackageFormatError, ValidationError
 from repro.isa.compressed import compress
 from repro.isa.encoding import encode
 from repro.isa.instruction import Instruction
@@ -133,3 +135,81 @@ def test_package_serialization_roundtrip(program, hde_pair):
     blob = _package(program, config, pbk)
     package = ProgramPackage.deserialize(blob)
     assert package.serialize() == blob
+
+
+# -- untrusted bytes: a corrupted package fails only with typed errors -------
+
+MUTATION_SOURCE = 'int main() { print_int(7); print_char(10); return 3; }\n'
+
+
+@pytest.fixture(scope="module")
+def packaged():
+    """A real device plus one valid package per mode for it."""
+    from repro.core.compiler_driver import EricCompiler
+    from repro.core.device import Device
+    device = Device(device_seed=0x5EED)
+    key = device.enrollment_key()
+    blobs = {mode: EricCompiler(EricConfig(mode=mode, partial_fraction=0.5))
+             .compile_and_package(MUTATION_SOURCE, key, name="m")
+             .package_bytes
+             for mode in MODES}
+    return device, blobs
+
+
+def _header_size(blob: bytes) -> int:
+    """Bytes before the map/text (see the layout in core/package.py):
+    9 fixed, the cipher name, the field-class list, 36 of geometry."""
+    cipher_len = blob[8]
+    return 9 + cipher_len + 1 + blob[9 + cipher_len] + 36
+
+
+@given(mode=st.sampled_from(MODES), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_corrupted_packages_raise_only_eric_errors(mode, data, packaged):
+    """Any single-byte change, truncation or trailing junk either still
+    loads or fails with an EricError subclass — never IndexError,
+    struct.error or UnicodeDecodeError out of the parser or the HDE."""
+    device, blobs = packaged
+    blob = bytearray(blobs[mode])
+    kind = data.draw(st.sampled_from(("byte", "truncate", "append")))
+    if kind == "byte":
+        # half the draws aim at the header, where the parser trusts
+        # lengths and counts; the rest anywhere
+        position = data.draw(st.one_of(
+            st.integers(0, _header_size(blob) - 1),
+            st.integers(0, len(blob) - 1)))
+        blob[position] = data.draw(
+            st.integers(0, 255).filter(lambda v: v != blob[position]))
+    elif kind == "truncate":
+        del blob[data.draw(st.integers(0, len(blob) - 1)):]
+    else:
+        blob += data.draw(st.binary(min_size=1, max_size=64))
+    for load in (ProgramPackage.deserialize,
+                 lambda b: device.load_and_run(b, max_instructions=20_000)):
+        try:
+            load(bytes(blob))
+        except EricError:
+            pass
+
+
+def test_non_utf8_cipher_name_is_a_format_error(packaged):
+    _, blobs = packaged
+    blob = bytearray(blobs[EncryptionMode.FULL])
+    blob[9] = 0xFF  # first byte of the cipher name
+    with pytest.raises(PackageFormatError, match="UTF-8"):
+        ProgramPackage.deserialize(bytes(blob))
+
+
+def test_impossible_full_mode_slot_count_is_rejected_fast(packaged):
+    """A full-mode package claiming 0xFFFFFFFF slots must be refused
+    before the parser builds a 2^32-entry map."""
+    import time
+
+    _, blobs = packaged
+    blob = bytearray(blobs[EncryptionMode.FULL])
+    slot_count = _header_size(blob) - 4  # the geometry's last u32
+    blob[slot_count:slot_count + 4] = b"\xff\xff\xff\xff"
+    start = time.perf_counter()
+    with pytest.raises(PackageFormatError, match="cannot fit"):
+        ProgramPackage.deserialize(bytes(blob))
+    assert time.perf_counter() - start < 0.5

@@ -10,8 +10,7 @@ files and merged back afterwards.
 import asyncio
 
 from repro.core.config import EncryptionMode, EricConfig
-from repro.farm import (FarmCoordinator, JobMatrix, ResultStore,
-                        SimulationFarm)
+from repro.farm import JobMatrix, JobSpec, ResultStore, SimulationFarm
 from repro.obs.metrics import METRICS
 from repro.obs.trace import Tracer, build_trees, read_trace
 from repro.service.daemon import JournalStore, ServeDaemon, submit_fleets
@@ -54,16 +53,15 @@ class TestPoolPropagation:
 class TestShardPropagation:
     def test_merged_shard_traces_reconstruct_one_tree(self, tmp_path):
         store = ResultStore(tmp_path)
-        coordinator = FarmCoordinator(store, shards=2,
-                                      tracer=Tracer(store.root))
+        farm = SimulationFarm(store, shards=2, tracer=Tracer(store.root))
         matrix = JobMatrix(
             programs=(("hello", HELLO), ("goodbye", GOODBYE)),
             configs=(EricConfig(),
                      EricConfig(mode=EncryptionMode.PARTIAL)),
             simulate=False)
-        coordinator.run(matrix).require_ok()
+        farm.run(matrix).require_ok()
         tree = one_connected_tree(store.root)
-        # coordinator sweep -> 2 worker shards -> their sweeps -> jobs
+        # sharded sweep -> 2 worker shards -> their sweeps -> jobs
         assert names(tree) == (["farm.job"] * 4 + ["farm.sweep"] * 3
                                + ["worker.shard"] * 2)
         (root,) = tree.roots
@@ -73,7 +71,7 @@ class TestShardPropagation:
 
     def test_untraced_shard_run_stays_untraced(self, tmp_path):
         store = ResultStore(tmp_path)
-        FarmCoordinator(store, shards=2).run(MATRIX).require_ok()
+        SimulationFarm(store, shards=2).run(MATRIX).require_ok()
         spans, _ = read_trace(store.root)
         assert spans == {}
 
@@ -129,13 +127,26 @@ class TestMetricsFromRealRuns:
         assert report.hits == len(report.results) == 2
         assert METRICS.counter("store.hits") - before == 2
 
+    def test_one_shard_run_counts_its_job_once(self, tmp_path):
+        """A one-key matrix plans one shard, whose worker farm runs in
+        this process: it must run with metrics off, or the job would
+        count twice."""
+        farm = SimulationFarm(ResultStore(tmp_path), shards=2)
+        before = METRICS.counter("farm.executed")
+        report = farm.run([JobSpec(source=HELLO, name="hello",
+                                   simulate=False)])
+        report.require_ok()
+        assert len(farm.last_merge) == 1
+        assert METRICS.counter("farm.executed") - before \
+            == report.executed == 1
+
     def test_sharded_rerun_counts_hits_at_the_coordinator(self, tmp_path):
         store = ResultStore(tmp_path)
-        coordinator = FarmCoordinator(store, shards=2)
-        coordinator.run(MATRIX).require_ok()
+        farm = SimulationFarm(store, shards=2)
+        farm.run(MATRIX).require_ok()
         before = METRICS.counter("store.hits")
-        report = coordinator.run(MATRIX)
-        # shard farms run with metrics off; only the coordinator's
-        # merge-time announcement counts, so no double counting
+        report = farm.run(MATRIX)
+        # shard farms run with metrics off; only the sharded farm's
+        # own announcement counts, so no double counting
         assert METRICS.counter("store.hits") - before \
             == report.hits == 2

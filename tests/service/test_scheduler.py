@@ -27,20 +27,19 @@ def probe_fleet(name: str, seeds, source: str = PROBE) -> dict:
 class ExplodingFarm:
     """Stands in for the farm: every batch raises."""
 
-    def run_batch(self, specs, force=False, trace_parent=None):
+    def run(self, specs, force=False, trace_parent=None):
         raise RuntimeError("store melted")
 
 
 class InstantFarm:
     """Stands in for the farm: every job succeeds at once."""
 
-    def run_batch(self, specs, force=False, trace_parent=None):
-        report = FarmReport(
+    def run(self, specs, force=False, trace_parent=None):
+        return FarmReport(
             results=tuple(FarmJobResult(spec=spec, record=None,
                                         error=None, from_store=False,
                                         wall_s=0.0) for spec in specs),
             wall_s=0.0, jobs=1, store_path=None)
-        return report, report.by_key()
 
 
 class TestAsyncSingleFlight:
@@ -196,6 +195,30 @@ class TestFleetScheduler:
         assert report.unique_jobs == 3
         assert report.executed == 3
         assert report.cache_stats.compiles == 1
+
+    def test_sharded_scheduler_executes_each_key_once(self, tmp_path):
+        """Overlapping fleets over a sharded farm: every unique key is
+        executed once in some shard, and a warm rerun executes none."""
+        requests = load_fleet_specs({"fleets": [
+            probe_fleet("alpha", [1, 2]),
+            probe_fleet("beta", [2, 3]),
+        ]})
+        store = ResultStore(tmp_path)
+        scheduler = FleetScheduler(store=store, shards=2)
+        cold = scheduler.run(requests)
+        cold.require_ok()
+        assert cold.requested == 4
+        assert cold.unique_jobs == 3
+        assert cold.executed == 3
+        assert sum(batch.executed
+                   for batch in scheduler.batch_reports) == 3
+        assert len(store) == 3
+
+        warm = FleetScheduler(store=ResultStore(tmp_path),
+                              shards=2).run(requests)
+        warm.require_ok()
+        assert warm.executed == 0
+        assert warm.store_hits == warm.unique_jobs == 3
 
     def test_staggered_fleet_attaches_to_inflight_work(self, tmp_path):
         """A fleet arriving while another's batch is queued or already
@@ -412,16 +435,15 @@ class TestFleetScheduler:
         calls = []
 
         class FlakyFarm:
-            def run_batch(self, specs, force=False, trace_parent=None):
+            def run(self, specs, force=False, trace_parent=None):
                 calls.append(len(specs))
                 error = "flaky" if len(calls) == 1 else None
                 results = tuple(
                     FarmJobResult(spec=spec, record=None, error=error,
                                   from_store=False, wall_s=0.0)
                     for spec in specs)
-                report = FarmReport(results=results, wall_s=0.0,
-                                    jobs=1, store_path=None)
-                return report, report.by_key()
+                return FarmReport(results=results, wall_s=0.0, jobs=1,
+                                  store_path=None)
 
         scheduler = FleetScheduler()
         scheduler.farm = FlakyFarm()

@@ -416,15 +416,13 @@ class TestSweepCommand:
         `eric worker`, merge the shipped-back store."""
         import json as json_module
 
-        from repro.farm import (FarmCoordinator, JobMatrix, ResultStore)
+        from repro.farm import JobMatrix, ResultStore, ShardPlan
+        from repro.farm.coordinator import write_shard_specs
 
         matrix = JobMatrix.from_spec(
             json_module.loads(open(spec_file).read()))
-        coordinator = FarmCoordinator(
-            store=ResultStore(tmp_path / "main"), shards=2,
-            shard_root=tmp_path / "shards")
-        [first, _] = coordinator.write_shard_specs(
-            coordinator.plan(matrix))
+        [first, _] = write_shard_specs(ShardPlan.partition(matrix, 2),
+                                       tmp_path / "shards")
 
         remote = str(tmp_path / "remote")
         assert main(["worker", str(first), "--store", remote,
