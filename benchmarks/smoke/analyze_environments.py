@@ -39,7 +39,7 @@ def main(argv=None) -> int:
     cold.require_ok()
     assert cold.executed == 4 and cold.hits == 0, cold.summary()
     for record in cold.records:
-        assert record.key_failure == 0.0, "screened key unstable"
+        assert record.key_failure < 1e-6, "screened key unstable"
         assert record.analysis["dynamic"], "no attacker outcomes"
         assert all(not d["leaked"]
                    for d in record.analysis["dynamic"])

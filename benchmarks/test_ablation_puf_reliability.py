@@ -4,14 +4,17 @@ The paper's PKG must hand the Decryption Unit the *same* key every boot;
 this sweep quantifies how enrollment screening + majority voting buy that
 stability, and where the design would break (extreme noise corners).
 
-Every point is a content-addressed farm job: the worker measures
-``FarmRecord.key_failure`` (repeated PKG readouts at the job's operating
-point) and ``key_digest`` for every job, so the whole sweep resumes from
-the committed store with zero simulations.
+Every point is a content-addressed farm job: the worker records
+``FarmRecord.key_failure`` (the exact probability that a PKG readout at
+the job's operating point misses the noiseless key) and ``key_digest``
+for every job, so the whole sweep resumes from the committed store with
+zero simulations.  Rates print in scientific notation: a stable key
+fails far less often than once per million boots, and the tables show
+by how much.
 """
 
 from repro.eval.report import format_table
-from repro.farm import KEY_STABILITY_READS, JobMatrix, SimParams
+from repro.farm import JobMatrix, SimParams
 from repro.puf.environment import Environment
 
 _SEED = 0x5EED
@@ -47,14 +50,14 @@ def test_voting_and_screening_sweep(benchmark, record, farm):
     record("ablation_puf_reliability", format_table(
         ["noise sigma", "votes", "fail rate (screened)",
          "fail rate (unscreened)"],
-        [[f"{n:.2f}", v, f"{s:.3f}", f"{u:.3f}"] for n, v, s, u in rows],
-        title=f"PUF key failure probability over "
-              f"{KEY_STABILITY_READS} readouts",
+        [[f"{n:.2f}", v, f"{s:.2e}", f"{u:.2e}"] for n, v, s, u in rows],
+        title="PUF key failure probability",
     ))
 
     by_key = {(n, v): (s, u) for n, v, s, u in rows}
-    # nominal noise + paper voting: keys must be rock stable
-    assert by_key[(0.04, 11)][0] == 0.0
+    # nominal noise + paper voting: keys must be rock stable, fewer
+    # than one failed rebuild per million boots
+    assert by_key[(0.04, 11)][0] < 1e-6
     # screening can only help (or tie) at every point of the sweep
     assert all(s <= u for _, _, s, u in rows)
     # more votes never hurt at fixed noise (screened column)
@@ -82,13 +85,13 @@ def test_environment_sweep(record, farm):
             for (label, env), result in zip(corners, report.results)]
     record("ablation_puf_environment", format_table(
         ["environment", "noise scale", "key failure rate"],
-        [[l, f"{s:.2f}x", f"{f:.3f}"] for l, s, f in rows],
+        [[l, f"{s:.2f}x", f"{f:.2e}"] for l, s, f in rows],
         title="PKG stability across operating points (paper's KMU "
               "environment hooks)",
     ))
     # nominal and mildly hot corners stay stable with Table I voting
-    assert rows[0][2] == 0.0
-    assert rows[1][2] == 0.0
+    assert rows[0][2] < 1e-6
+    assert rows[1][2] < 1e-6
     # noise scale is monotone across the sweep
     scales = [s for _, s, _ in rows]
     assert scales == sorted(scales)

@@ -20,7 +20,8 @@ Syntax accepted::
     # comment, // comment
     .text / .data / .globl sym / .equ NAME, value
     .byte v, ... / .half v, ... / .word v, ... / .dword v, ...
-    .asciz "str" / .ascii "str" / .space n / .align n   (data only)
+    .asciz "s", ... / .ascii "s", ... / .space n / .align n  (data only)
+    'c' character literals wherever a number goes
     label:  instruction
     add rd, rs1, rs2        ld rd, 16(sp)      sw t0, off(a1)
     beq a0, a1, label       jal label          li t0, 0x1234
@@ -166,11 +167,20 @@ class Assembler:
             width = {".byte": 1, ".half": 2, ".word": 4, ".dword": 8}[name]
             self._emit_data_values(rest, width, line_no)
         elif name in (".asciz", ".ascii"):
-            text = _parse_string(rest, line_no)
-            blob = text.encode("latin-1")
-            if name == ".asciz":
-                blob += b"\x00"
-            self._emit_data_bytes(blob, line_no)
+            strings = _split_operands(rest)
+            if not strings:
+                raise AssemblerError(
+                    f"line {line_no}: expected a quoted string")
+            for token in strings:
+                try:
+                    blob = _parse_string(token, line_no).encode("latin-1")
+                except UnicodeEncodeError:
+                    raise AssemblerError(
+                        f"line {line_no}: {token} holds a character "
+                        f"outside latin-1") from None
+                if name == ".asciz":
+                    blob += b"\x00"
+                self._emit_data_bytes(blob, line_no)
         elif name in (".space", ".zero"):
             count = self._number(rest.strip(), line_no)
             if count < 0:
@@ -507,44 +517,70 @@ def assemble(source: str, name: str = "",
 # -- helpers ------------------------------------------------------------
 
 
+def _literal_end(text: str, start: int) -> int:
+    """Index just past the string (``"..."``) or character (``'.'``)
+    literal whose opening quote is ``text[start]``, or -1 when nothing
+    closes it.  Inside a literal a backslash escapes the next
+    character, so ``"C:\\"`` ends at its last quote and ``'\''`` is
+    one literal."""
+    quote = text[start]
+    i, end = start + 1, len(text)
+    while i < end:
+        ch = text[i]
+        if ch == quote:
+            return i + 1
+        i += 2 if ch == "\\" else 1
+    return -1
+
+
+def _unquoted(text: str):
+    """Yield ``(index, char)`` for each character of ``text`` outside
+    its literals; an unclosed literal runs to the end of the text."""
+    i, end = 0, len(text)
+    while i < end:
+        ch = text[i]
+        if ch == '"' or ch == "'":
+            i = _literal_end(text, i)
+            if i < 0:
+                return
+        else:
+            yield i, ch
+            i += 1
+
+
 def _strip_comment(line: str) -> str:
-    out = []
-    in_string = False
-    i = 0
-    while i < len(line):
-        ch = line[i]
-        if ch == '"' and (i == 0 or line[i - 1] != "\\"):
-            in_string = not in_string
-        if not in_string:
-            if ch == "#":
-                break
-            if ch == "/" and i + 1 < len(line) and line[i + 1] == "/":
-                break
-        out.append(ch)
-        i += 1
-    return "".join(out)
+    """``line`` up to its first ``#`` or ``//`` outside a literal."""
+    if '"' in line or "'" in line:
+        for i, ch in _unquoted(line):
+            if ch == "#" or (ch == "/" and line.startswith("/", i + 1)):
+                return line[:i]
+        return line
+    cut = line.find("#")
+    slash = line.find("//")
+    if slash >= 0 and (cut < 0 or slash < cut):
+        cut = slash
+    return line if cut < 0 else line[:cut]
 
 
 def _split_operands(text: str) -> list[str]:
-    operands = []
-    depth = 0
-    current = []
-    in_string = False
-    for ch in text:
-        if ch == '"':
-            in_string = not in_string
-        if ch == "(" and not in_string:
-            depth += 1
-        elif ch == ")" and not in_string:
-            depth -= 1
-        if ch == "," and depth == 0 and not in_string:
-            operands.append("".join(current).strip())
-            current = []
-        else:
-            current.append(ch)
-    tail = "".join(current).strip()
-    if tail:
-        operands.append(tail)
+    """Split ``text`` at its commas outside parentheses and literals;
+    an empty last operand is dropped."""
+    parts = text.split(",")
+    if '"' in text or "'" in text or any(
+            part.count("(") != part.count(")") for part in parts):
+        parts, depth, start = [], 0, 0
+        for i, ch in _unquoted(text):
+            if ch == "(":
+                depth += 1
+            elif ch == ")":
+                depth -= 1
+            elif ch == "," and depth == 0:
+                parts.append(text[start:i])
+                start = i + 1
+        parts.append(text[start:])
+    operands = [part.strip() for part in parts]
+    if not operands[-1]:
+        operands.pop()
     return operands
 
 
@@ -570,17 +606,22 @@ def _is_register_name(token: str) -> bool:
         return False
 
 
-def _parse_string(rest: str, line_no: int) -> str:
-    rest = rest.strip()
-    if len(rest) < 2 or not rest.startswith('"') or not rest.endswith('"'):
-        raise AssemblerError(f"line {line_no}: expected a quoted string")
-    body = rest[1:-1]
+def _parse_string(token: str, line_no: int) -> str:
+    """One string literal operand, escapes decoded."""
+    end = _literal_end(token, 0) if token.startswith('"') else -1
+    if end < 0:
+        raise AssemblerError(f"line {line_no}: expected a quoted string, "
+                             f"got {token!r}")
+    if end != len(token):
+        raise AssemblerError(f"line {line_no}: unexpected text after "
+                             f"the string in {token!r}")
+    body = token[1:-1]
     out = []
     i = 0
     while i < len(body):
         ch = body[i]
-        if ch == "\\" and i + 1 < len(body):
-            nxt = body[i + 1]
+        if ch == "\\":
+            nxt = body[i + 1]  # a closed literal ends in no lone backslash
             if nxt in _ESCAPES:
                 out.append(_ESCAPES[nxt])
                 i += 2

@@ -20,7 +20,7 @@ Subcommands::
     eric status   --journal DIR           journal state, no daemon needed
     eric doctor   --store DIR             store health report, no sweep
     eric doctor   --journal DIR           ... plus request-journal health
-    eric doctor   --store DIR --fingerprint  ... plus model-drift audit
+    eric doctor   --store DIR --fingerprint  ... plus drift and orphan audit
     eric lint     [--rule NAME] [paths]   project AST lint rules
     eric fingerprint [--explain]          timing-model fingerprint
     eric docs-cli                         regenerate docs/cli.md content
@@ -802,8 +802,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "metrics.json)")
     p.add_argument("--fingerprint", action="store_true",
                    help="also audit live records against the current "
-                        "timing-model fingerprint (drifted records "
-                        "fail the doctor)")
+                        "timing-model fingerprint and key derivation "
+                        "(drifted or orphaned records fail the doctor)")
     p.set_defaults(func=_cmd_doctor)
 
     p = sub.add_parser(

@@ -19,7 +19,10 @@ already-stored keys are served from disk, ``force=True`` re-measures.
 
 The figure modules (:mod:`repro.eval.fig5`/``fig6``/``fig7``) and the
 ablation benchmarks source their measurements through this subsystem;
-``eric sweep`` exposes it on the command line.
+``eric sweep`` exposes it on the command line.  Besides sizes, cycles
+and stage times, every record carries the job device's PUF key-failure
+probability, computed exactly from the arbiter model rather than
+sampled (:meth:`~repro.puf.key_generator.PufKeyGenerator.failure_probability`).
 
 Scaling past one machine, the same farm with ``shards=N`` cuts the
 pending key space into contiguous ranges
@@ -36,8 +39,7 @@ back last-record-wins (:meth:`ResultStore.merge_from`)::
 from repro.farm.coordinator import ShardOutcome
 from repro.farm.doctor import (ShardLeftover, StoreDiagnosis,
                                diagnose_store)
-from repro.farm.executor import (DYNAMIC_ATTACKER_SEEDS,
-                                 KEY_STABILITY_READS, FarmJobResult,
+from repro.farm.executor import (DYNAMIC_ATTACKER_SEEDS, FarmJobResult,
                                  FarmReport, SimulationFarm, execute_job)
 from repro.farm.spec import (KEY_SCHEMA, PIPELINE_VARIANTS, JobMatrix,
                              JobSpec, ShardPlan, ShardSpec, SimParams)
@@ -49,7 +51,6 @@ from repro.farm.worker import load_shard, run_shard
 __all__ = [
     "DEFAULT_STORE_DIR",
     "DYNAMIC_ATTACKER_SEEDS",
-    "KEY_STABILITY_READS",
     "FarmJobResult",
     "FarmRecord",
     "FarmReport",

@@ -15,7 +15,9 @@ unsharded farm does, then hands the pending jobs to
    :func:`repro.farm.worker.run_shard` that ``eric worker`` runs on a
    remote machine);
 3. :meth:`~repro.farm.store.ResultStore.merge_from` every shard store
-   into the main store, last-record-wins;
+   into the main store, last-record-wins, then cut each shard
+   directory down to this run's work (its planned records; its spans
+   move into the main trace);
 4. report each pending job as its merged record or its worker's error.
 
 Because step 2 goes through the on-disk shard spec, a shard can equally
@@ -34,6 +36,7 @@ from pathlib import Path
 
 from repro.farm.spec import ShardPlan, ShardSpec
 from repro.farm.store import MergeStats, ResultStore
+from repro.jsonlog import atomic_rewrite
 from repro.obs.trace import TRACE_FILENAME, Tracer, merge_trace_files
 
 SHARD_SPEC_FILENAME = "shard.json"
@@ -162,6 +165,21 @@ def _collect(tracer: Tracer, shard: ShardSpec,
     return outcome
 
 
+def _keep_only(store_dir: Path, keys: frozenset[str]) -> None:
+    """Cut a merged shard store down to this run's planned records.
+
+    Leftovers from earlier runs would otherwise pile up run after run,
+    and every later worker would load them all.  Until the merge a
+    crashed run's records stay put, for the next run to serve."""
+    path = store_dir / ResultStore.filename
+    found = ResultStore.scan(path, only=keys)
+    if found.total != len(found.records):
+        atomic_rewrite(path, "".join(
+            record.to_json() + "\n"
+            for _, record in sorted(found.records.items())
+        ).encode("utf-8"))
+
+
 def run_shards(store: ResultStore, specs, pending: list[int], *,
                shards: int, shard_root: Path, jobs: int, force: bool,
                tracer: Tracer, trace: dict | None,
@@ -191,11 +209,15 @@ def run_shards(store: ResultStore, specs, pending: list[int], *,
         for outcome in sorted(outcomes, key=lambda o: o.index))
     if tracer.path is not None and outcomes:
         # shard workers traced into their own store dirs; pull those
-        # spans back (concatenation is the merge)
-        merge_trace_files(
-            tracer.path,
-            [Path(outcome.store_dir) / TRACE_FILENAME
-             for outcome in outcomes])
+        # spans back (concatenation is the merge), then drop them so
+        # the next run does not append them to the main trace again
+        shard_traces = [Path(outcome.store_dir) / TRACE_FILENAME
+                        for outcome in outcomes]
+        merge_trace_files(tracer.path, shard_traces)
+        for path in shard_traces:
+            path.unlink(missing_ok=True)
+    for outcome in outcomes:
+        _keep_only(Path(outcome.store_dir), planned[outcome.index])
 
     # every pending key is now either in the merged store or carries a
     # worker-reported error

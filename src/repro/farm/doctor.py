@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.farm.coordinator import SHARD_SPEC_FILENAME
-from repro.farm.spec import KEY_SCHEMA
-from repro.farm.store import STORE_SCHEMA, ResultStore
+from repro.farm.spec import KEY_SCHEMA, job_key
+from repro.farm.store import STORE_SCHEMA, FarmRecord, ResultStore
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ class StoreDiagnosis:
 @dataclass(frozen=True)
 class FingerprintAudit:
     """``eric doctor --fingerprint``: live records vs. the current
-    tree's timing-model fingerprint."""
+    tree's timing-model fingerprint and key derivation."""
 
     path: str
     exists: bool
@@ -137,10 +137,15 @@ class FingerprintAudit:
     missing: int
     #: fingerprint -> live-record count for every drifted fingerprint
     drifted_fingerprints: dict[str, int]
+    #: live records whose own fields (and own fingerprint) no longer
+    #: derive their key — addressed under another ``KEY_SCHEMA``, so no
+    #: current job key can reach them; records without a fingerprint
+    #: cannot be re-derived and count as ``missing`` only
+    orphaned: int = 0
 
     @property
     def healthy(self) -> bool:
-        return not self.drifted
+        return not self.drifted and not self.orphaned
 
     def describe(self) -> str:
         lines = [f"fingerprint: current model is {self.current[:16]}..."]
@@ -150,7 +155,8 @@ class FingerprintAudit:
             lines.append(
                 f"  {self.live_records} live record(s): "
                 f"{self.matching} matching, {self.drifted} drifted, "
-                f"{self.missing} without a fingerprint")
+                f"{self.missing} without a fingerprint, {self.orphaned} "
+                f"orphaned")
             for fp in sorted(self.drifted_fingerprints):
                 lines.append(f"  drifted {fp[:16]}...: "
                              f"{self.drifted_fingerprints[fp]} "
@@ -161,33 +167,52 @@ class FingerprintAudit:
                          "longer match (KEY_SCHEMA embeds the "
                          "fingerprint) — re-run the sweep and "
                          "`eric sweep --compact`")
+        if self.orphaned:
+            lines.append(f"  hint: orphaned records were keyed under a "
+                         f"KEY_SCHEMA other than {KEY_SCHEMA}, so no "
+                         f"current job reaches them — regenerate the "
+                         f"store")
         lines.append("  verdict: " + ("healthy" if self.healthy
                                       else "NEEDS ATTENTION"))
         return "\n".join(lines)
 
 
+def record_key(record: FarmRecord) -> str:
+    """The job key the current derivation gives ``record``'s own
+    fields, fingerprint included."""
+    return job_key(model=record.model_fingerprint,
+                   source_digest=record.source_digest,
+                   config=record.config, params=record.params,
+                   simulate=record.simulate, analyze=record.analyze,
+                   repeats=record.repeats)
+
+
 def audit_fingerprints(root: str | Path) -> FingerprintAudit:
     """Compare every live record's recorded ``model_fingerprint``
-    against the current tree's.  Read-only, like everything here."""
+    against the current tree's, and re-derive its key from its own
+    fields.  Read-only, like everything here."""
     from repro.statics.fingerprint import model_fingerprint
     current = model_fingerprint()
     path = Path(root) / ResultStore.filename
     found = ResultStore.scan(path)
-    matching = missing = 0
+    matching = missing = orphaned = 0
     drifted: dict[str, int] = {}
     for record in found.records.values():
         fingerprint = record.model_fingerprint
         if fingerprint is None:
             missing += 1
-        elif fingerprint == current:
+            continue
+        if fingerprint == current:
             matching += 1
         else:
             drifted[fingerprint] = drifted.get(fingerprint, 0) + 1
+        if record_key(record) != record.key:
+            orphaned += 1
     return FingerprintAudit(
         path=str(path), exists=found.exists, current=current,
         live_records=len(found.records), matching=matching,
         drifted=sum(drifted.values()), missing=missing,
-        drifted_fingerprints=drifted)
+        drifted_fingerprints=drifted, orphaned=orphaned)
 
 
 def _scan_shard_dir(shard_dir: Path) -> ShardLeftover:

@@ -30,18 +30,11 @@ from repro.core.compiler_driver import EricCompiler, source_digest
 from repro.core.device import Device
 from repro.errors import ConfigError, EricError
 from repro.farm.coordinator import run_shards
-from repro.farm.spec import JobMatrix, JobSpec, SimParams
+from repro.farm.spec import JobMatrix, JobSpec
 from repro.farm.store import FarmRecord, MergeStats, ResultStore
 from repro.obs.metrics import METRICS
 from repro.obs.trace import TraceContext, Tracer
 from repro.statics.fingerprint import model_fingerprint
-from repro.puf.arbiter import PufArray
-from repro.puf.key_generator import PufKeyGenerator
-from repro.puf.metrics import key_failure_probability
-
-#: Repeated PKG readouts per job for the record's ``key_failure`` field
-#: (the PUF-reliability ablations' protocol).
-KEY_STABILITY_READS = 40
 
 #: Non-target device seeds the dynamic-analysis attack runs on when a
 #: job is measured with ``analyze=True``.  A seed that collides with
@@ -51,27 +44,15 @@ KEY_STABILITY_READS = 40
 DYNAMIC_ATTACKER_SEEDS = (1, 2, 3)
 
 
-def _measure_key_failure(params: SimParams) -> float:
-    """Key-reconstruction failure rate at the job's operating point.
-
-    Measured on a freshly fabricated array so the noise-draw sequence
-    is a deterministic function of the params alone (enrollment
-    screening is noiseless and consumes no draws).
-    """
-    array = PufArray(device_seed=params.device_seed,
-                     noise_sigma=params.puf_noise_sigma)
-    pkg = PufKeyGenerator(array, votes=params.puf_votes,
-                          margin_sigmas=params.puf_margin_sigmas)
-    readouts = [pkg.generate(params.environment).key
-                for _ in range(KEY_STABILITY_READS)]
-    return key_failure_probability(readouts)
-
-
 def execute_job(spec: JobSpec) -> FarmRecord:
     """Measure one job, start to finish, in this process.
 
     This is the farm's worker entry point (top-level so it pickles);
     it is also a convenient one-job API for tests and notebooks.
+    The record's ``key_failure`` is the exact probability that the
+    device's majority-voted PUF key misses its noiseless value at the
+    job's environment (:meth:`PufKeyGenerator.failure_probability`),
+    read from the job's own device without drawing any noise.
     """
     spec.validate()
     start = time.perf_counter()
@@ -90,7 +71,7 @@ def execute_job(spec: JobSpec) -> FarmRecord:
                     margin_sigmas=params.puf_margin_sigmas)
     compiler = EricCompiler(spec.config, policy=policy)
     target_key = device.enrollment_key()
-    key_failure = _measure_key_failure(params)
+    key_failure = device.pkg.failure_probability(params.environment)
 
     baseline = None
     if policy is not None:
@@ -248,10 +229,13 @@ def _job_span(spec: JobSpec, trace: dict | None):
 
 
 def _execute_safe(spec: JobSpec, trace: dict | None = None,
-                  ) -> tuple[FarmRecord | None, str | None]:
+                  ) -> tuple[FarmRecord | None, str | None, float]:
     """Worker wrapper: never raises on job errors, returns
-    (record, error).  KeyboardInterrupt/SystemExit still propagate — an
-    interactive abort must stop the sweep, not count as a job failure."""
+    (record, error, wall_s).  ``wall_s`` is timed here, in the process
+    that runs the job, so time a pooled job spent queued is not part of
+    it.  KeyboardInterrupt/SystemExit still propagate — an interactive
+    abort must stop the sweep, not count as a job failure."""
+    start = time.perf_counter()
     span = _job_span(spec, trace)
     try:
         record = execute_job(spec)
@@ -259,14 +243,14 @@ def _execute_safe(spec: JobSpec, trace: dict | None = None,
         error = _format_error(exc)
         if span is not None:
             span.finish(ok=False, detail=error)
-        return None, error
+        return None, error, time.perf_counter() - start
     if span is not None:
         if record.sim_cycles is not None:
             span.attrs.update(
                 sim_cycles=record.sim_cycles,
                 instructions_retired=record.instructions_retired)
         span.finish()
-    return record, None
+    return record, None, time.perf_counter() - start
 
 
 @dataclass(frozen=True)
@@ -277,6 +261,8 @@ class FarmJobResult:
     record: FarmRecord | None
     error: str | None
     from_store: bool
+    #: seconds the job ran, timed in the process that ran it (never its
+    #: wait in a pool queue); 0.0 for store hits and shared slots
     wall_s: float
     #: True when this slot shares the outcome of an identical job
     #: earlier in the same matrix (deduplicated, not executed)
@@ -617,32 +603,23 @@ class SimulationFarm:
             return
         if self.jobs == 1 or len(pending) == 1:
             for i in pending:
-                job_start = time.perf_counter()
-                record, error = _execute_safe(specs[i], trace)
-                yield (i, record, error,
-                       time.perf_counter() - job_start, False)
+                yield (i, *_execute_safe(specs[i], trace), False)
             return
         workers = min(self.jobs, len(pending))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            submitted = {}
-            started = {}
-            for i in pending:
-                started[i] = time.perf_counter()
-                submitted[pool.submit(_execute_safe, specs[i],
-                                      trace)] = i
+            submitted = {pool.submit(_execute_safe, specs[i], trace): i
+                         for i in pending}
             outstanding = set(submitted)
             while outstanding:
                 finished, outstanding = wait(outstanding,
                                              return_when=FIRST_COMPLETED)
                 for future in finished:
-                    i = submitted[future]
-                    wall_s = time.perf_counter() - started[i]
                     try:
-                        record, error = future.result()
+                        record, error, wall_s = future.result()
                     except Exception as exc:  # pool/pickle failure
-                        record, error = None, (
-                            f"{type(exc).__name__}: {exc}")
-                    yield i, record, error, wall_s, False
+                        record, error, wall_s = None, (
+                            f"{type(exc).__name__}: {exc}"), 0.0
+                    yield submitted[future], record, error, wall_s, False
 
     def _announce(self, done: int, total: int,
                   result: FarmJobResult) -> None:

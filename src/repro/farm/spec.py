@@ -50,7 +50,11 @@ from repro.soc.pipeline import PipelineModel
 #:    policy entry (null for unpolicied jobs) with the display-only
 #:    policy ``name`` stripped, and the plain baseline of policied jobs
 #:    is the *unobfuscated* program.
-KEY_SCHEMA = 4
+#: 5: records' ``key_failure`` is the exact probability that a PUF key
+#:    readout misses the noiseless key
+#:    (:meth:`~repro.puf.key_generator.PufKeyGenerator.failure_probability`),
+#:    no longer a 40-readout Monte Carlo estimate.
+KEY_SCHEMA = 5
 
 #: Named SoC pipeline variants a job may select.  Names (not
 #: :class:`PipelineModel` instances) travel in :class:`SimParams` so
@@ -157,6 +161,34 @@ class SimParams:
         return cls(**options).validate()
 
 
+def job_key(*, model: str | None, source_digest: str, config: dict,
+            params: dict, simulate: bool, analyze: bool,
+            repeats: int) -> str:
+    """The content address (SHA-256 hex) of one measurement's inputs.
+
+    ``params`` is ``asdict(SimParams)``; a policy's display-only
+    ``name`` is stripped here.  :meth:`JobSpec.key` passes a spec's own
+    fields; ``eric doctor --fingerprint`` passes a stored record's, so
+    a record that no current derivation reaches shows as orphaned.
+    """
+    policy = params.get("policy")
+    if policy is not None:
+        params = {**params, "policy": {name: value for name, value
+                                       in policy.items() if name != "name"}}
+    payload = {
+        "schema": KEY_SCHEMA,
+        "model": model,
+        "source": source_digest,
+        "config": config,
+        "params": params,
+        "simulate": simulate,
+        "analyze": analyze,
+        "repeats": repeats,
+    }
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
 @dataclass(frozen=True)
 class JobSpec:
     """One farm job: measure a (program, config, device) combination.
@@ -231,21 +263,12 @@ class JobSpec:
         # fingerprint itself is memoized per process.
         from repro.statics.fingerprint import model_fingerprint
         source, _ = self.resolve_source()
-        params_payload = asdict(self.params)
-        if params_payload.get("policy") is not None:
-            params_payload["policy"].pop("name", None)
-        payload = {
-            "schema": KEY_SCHEMA,
-            "model": model_fingerprint(),
-            "source": hashlib.sha256(source.encode("utf-8")).hexdigest(),
-            "config": config_to_dict(self.config),
-            "params": params_payload,
-            "simulate": self.simulate,
-            "analyze": self.analyze,
-            "repeats": self.repeats,
-        }
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        digest = job_key(
+            model=model_fingerprint(),
+            source_digest=hashlib.sha256(source.encode("utf-8")).hexdigest(),
+            config=config_to_dict(self.config), params=asdict(self.params),
+            simulate=self.simulate, analyze=self.analyze,
+            repeats=self.repeats)
         object.__setattr__(self, "_key_memo", (KEY_SCHEMA, digest))
         return digest
 

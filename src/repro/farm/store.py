@@ -93,9 +93,10 @@ class FarmRecord:
     # "dynamic" (attempt_execution outcomes on non-target devices) ------
     analysis: dict | None = None
 
-    # -- PUF key stability (measured on every job) ------------------------
-    #: fraction of repeated PKG readouts at the job's environment that
-    #: disagree with the majority readout (0.0 = a rock-stable key)
+    # -- PUF key stability (recorded on every job) ------------------------
+    #: exact probability that one PKG readout at the job's environment
+    #: misses the noiseless key (since KEY_SCHEMA 5; see
+    #: :meth:`~repro.puf.key_generator.PufKeyGenerator.failure_probability`)
     key_failure: float | None = None
     #: SHA-256 of the enrollment (PUF-based) key — uniqueness studies
     #: compare digests across device seeds without storing keys raw

@@ -19,6 +19,12 @@ directly (instead of repeated physical reads) keeps enrollment
 deterministic per device, which is what a stored enrollment record gives
 real systems.
 
+Key failure
+-----------
+How often a readout misses the noiseless key has a closed form under
+the arbiter model, so :meth:`PufKeyGenerator.failure_probability`
+computes it exactly instead of sampling readouts.
+
 The PKG also carries the cycle-cost model used by the HDE: evaluating one
 challenge costs ``n_stages + ARBITER_LATCH_CYCLES`` cycles per vote
 (the edge must traverse every stage before the arbiter latches).
@@ -26,6 +32,7 @@ challenge costs ``n_stages + ARBITER_LATCH_CYCLES`` cycles per vote
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.crypto.prng import Xoshiro256StarStar
@@ -124,6 +131,37 @@ class PufKeyGenerator:
         key = key_value.to_bytes((self.key_bits + 7) // 8, "little")
         return PufKeyReadout(key=key, cycles=self.cycle_cost(),
                              votes=self.votes)
+
+    def failure_probability(self,
+                            environment: Environment = NOMINAL) -> float:
+        """Exact probability that one :meth:`generate` at
+        ``environment`` differs from the noiseless key.
+
+        The noiseless key is the sign of every enrolled challenge's
+        delay difference.  Per bit, one vote flips with ``p =
+        erfc(|delta| / (sigma * sqrt(2))) / 2`` (0 when ``sigma`` is
+        0), the majority of ``votes`` fails with the binomial tail
+        ``q``, and the key fails with ``1 - prod(1 - q)``.  The product
+        is summed as ``log1p(-q)`` so a rate near 1e-200 stays a
+        number instead of rounding to 0.0.  No noise is drawn.
+        """
+        scale = environment.noise_scale()
+        majority = self.votes // 2 + 1
+        tail = [(k, math.comb(self.votes, k))
+                for k in range(majority, self.votes + 1)]
+        log_hold = 0.0
+        for challenges in self._challenges:
+            for puf, challenge in zip(self.array.instances, challenges):
+                sigma = puf.noise_sigma * scale
+                if sigma == 0:
+                    continue
+                p = 0.5 * math.erfc(abs(puf.delay_difference(challenge))
+                                    / (sigma * math.sqrt(2.0)))
+                q = sum(ways * p ** k * (1.0 - p) ** (self.votes - k)
+                        for k, ways in tail)
+                log_hold += math.log1p(-q)
+        # 0.0 - keeps a key that cannot fail at +0.0, never -0.0
+        return 0.0 - math.expm1(log_hold)
 
     def generate_raw(self, environment: Environment = NOMINAL) -> bytes:
         """Single-shot (no voting) readout — used by reliability studies

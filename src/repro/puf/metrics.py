@@ -91,7 +91,10 @@ def key_failure_probability(readouts: list[bytes]) -> float:
 
     Feed it repeated :meth:`PufKeyGenerator.generate` /
     ``generate_raw`` outputs to estimate how often key reconstruction
-    would fail under a given voting policy and environment.
+    would fail under a given voting policy and environment.  While the
+    noiseless key is the most frequent readout this is the Monte Carlo
+    estimate of :meth:`PufKeyGenerator.failure_probability`, and the
+    tests use it as that method's oracle.
     """
     if not readouts:
         raise ConfigError("need at least one readout")

@@ -1,6 +1,8 @@
 """Assembler behaviour: parsing, labels, pseudos, fixups, sections."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.asm.assembler import assemble
 from repro.errors import AssemblerError
@@ -300,6 +302,80 @@ class TestDataSection:
     def test_align_power_of_two(self):
         with pytest.raises(AssemblerError):
             assemble(".data\n.align 3\n")
+
+
+#: what the string escapes of a data line stand for (see _ESCAPES)
+_ESCAPED = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t",
+            "\r": "\\r", "\0": "\\0"}
+
+#: latin-1 characters that end a line (str.splitlines)
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85"
+
+_RAW_CHARS = st.sampled_from('"\\#/,\' ') | st.characters(
+    min_codepoint=0, max_codepoint=0xFF,
+    blacklist_characters=_LINE_BREAKS)
+
+#: a string may also hold the line breaks that have an escape
+_STRING_CHARS = _RAW_CHARS | st.sampled_from("\n\r")
+
+
+def _quoted(text: str) -> str:
+    return '"' + "".join(_ESCAPED.get(ch, ch) for ch in text) + '"'
+
+
+class TestLiterals:
+    """Quotes, escapes, commas and comment markers inside string and
+    character literals (one scanner serves comments and operands)."""
+
+    def test_escaped_backslash_before_a_comment(self):
+        program = assemble('.data\nmsg: .asciz "C:\\\\" # note\n')
+        assert program.data == b"C:\\\x00"
+
+    def test_asciz_list_terminates_every_string(self):
+        program = assemble('.data\nmsg: .asciz "a", "b"\n')
+        assert program.data == b"a\x00b\x00"
+
+    def test_ascii_list_concatenates(self):
+        program = assemble('.data\nmsg: .ascii "a,b", "#c"  // note\n')
+        assert program.data == b"a,b#c"
+
+    def test_text_after_a_closing_quote_is_rejected(self):
+        with pytest.raises(AssemblerError, match="after the string"):
+            assemble('.data\n.asciz "a" b\n')
+        with pytest.raises(AssemblerError, match="quoted string"):
+            assemble('.data\n.asciz "a\\"\n')
+
+    def test_string_outside_latin_1_is_an_assembler_error(self):
+        # was a raw UnicodeEncodeError, a traceback from `eric package`
+        with pytest.raises(AssemblerError, match="latin-1"):
+            assemble('.data\n.asciz "\u20ac"\n')
+
+    def test_character_literals_hold_commas_and_comment_markers(self):
+        program = assemble(".data\n.byte ','\n.byte '#', 1  # c\n"
+                           ".byte '\\'', '/'\n")
+        assert program.data == b",#\x01'/"
+
+    def test_character_literal_immediate(self):
+        [instr] = decode_all(assemble("li a0, '#'  # hash\n"))
+        assert instr.imm == ord("#")
+
+    @settings(max_examples=150, deadline=None)
+    @given(strings=st.lists(st.text(_STRING_CHARS, max_size=12),
+                            min_size=1, max_size=4),
+           terminate=st.booleans(),
+           comment=st.sampled_from(["#", "//", " # ", "\t// "]),
+           note=st.text(_RAW_CHARS, max_size=10),
+           separator=st.sampled_from([",", ", ", " , "]))
+    def test_data_lines_assemble_to_their_bytes(self, strings, terminate,
+                                                comment, note, separator):
+        directive = ".asciz" if terminate else ".ascii"
+        line = (f"msg: {directive} "
+                + separator.join(_quoted(text) for text in strings)
+                + comment + note)
+        program = assemble(".data\n" + line + "\n")
+        nul = b"\x00" if terminate else b""
+        assert program.data == b"".join(text.encode("latin-1") + nul
+                                        for text in strings)
 
 
 class TestCompression:

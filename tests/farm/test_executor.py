@@ -84,8 +84,9 @@ class TestExecuteJob:
 
     def test_key_stability_fields(self):
         record = execute_job(JobSpec(source=HELLO, simulate=False))
-        # Table I policy (screened, 11 votes, nominal point): rock stable
-        assert record.key_failure == 0.0
+        # Table I policy (screened, 11 votes, nominal point): rock
+        # stable, fewer than one failed rebuild per million boots
+        assert record.key_failure < 1e-6
         assert len(record.key_digest) == 64
 
         noisy = execute_job(JobSpec(
@@ -103,7 +104,7 @@ class TestExecuteJob:
         record = execute_job(hot)
         assert record.params["environment"]["temperature_c"] == 125.0
         # screened + voted keys survive the extreme corner on this die
-        assert record.key_failure == 0.0
+        assert record.key_failure < 1e-6
 
     def test_overlapped_hde_serial_accounting(self):
         serial = execute_job(JobSpec(source=HELLO))
@@ -231,6 +232,19 @@ class TestFarmRun:
         ])
         assert report.executed == 2
         assert len(report.failures) == 1
+
+    def test_pool_jobs_are_timed_where_they_run(self):
+        """Regression: pooled jobs were timed from submission, so a job
+        queued behind others reported its wait as its own wall time
+        (6 jobs on 2 workers: 1.30 s reported for 0.60 s of work)."""
+        report = SimulationFarm(jobs=2).run([
+            JobSpec(source=f"int main() {{ return {i}; }}\n",
+                    name=f"p{i}", simulate=False)
+            for i in range(6)])
+        report.require_ok()
+        for result in report.results:
+            # the worker's timing wraps execute_job's own, nothing more
+            assert 0.0 <= result.wall_s - result.record.wall_s < 0.05
 
     def test_empty_and_invalid_inputs(self):
         farm = SimulationFarm()

@@ -307,6 +307,37 @@ class TestCoordinator:
         assert sum(stats.ignored for stats in farm.last_merge) == 1
         assert "out-of-plan" in farm.last_merge[0].describe()
 
+    def test_shard_dirs_hold_only_the_last_runs_work(self, tmp_path):
+        """Regression: every sharded run reused shard-NN/ without
+        pruning it, so each shard store kept every record it ever
+        measured and each run appended all earlier runs' shard spans
+        to the main trace again (10/28/54 lines for 3 equal runs)."""
+        from repro.obs.trace import TRACE_FILENAME, Tracer
+
+        store = ResultStore(tmp_path / "main")
+        farm = SimulationFarm(store=store, shards=2,
+                              tracer=Tracer(store.root))
+        trace = store.root / TRACE_FILENAME
+        trace_lines = []
+        for run in range(3):
+            # 4 keys no earlier run measured
+            matrix = JobMatrix(
+                programs=tuple(
+                    (f"p{run}{i}",
+                     f"int main() {{ return {10 * run + i}; }}\n")
+                    for i in range(4)),
+                simulate=False)
+            farm.run(matrix).require_ok()
+            trace_lines.append(len(trace.read_text().splitlines()))
+        assert len(store) == 12
+        plan = ShardPlan.partition(matrix, 2)
+        for shard in plan.shards:
+            shard_dir = store.root / "shards" / f"shard-{shard.index:02d}"
+            assert ResultStore(shard_dir).keys() \
+                == {job.key() for job in shard.jobs}
+            assert not (shard_dir / TRACE_FILENAME).exists()
+        assert trace_lines == [trace_lines[0] * n for n in (1, 2, 3)]
+
     def test_worker_death_spares_already_completed_jobs(self, tmp_path,
                                                         monkeypatch):
         """Regression: a dying worker's fabricated 'worker died' error

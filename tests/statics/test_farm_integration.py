@@ -7,7 +7,7 @@ import pytest
 
 import repro.statics.fingerprint as fingerprint_mod
 from repro.errors import ConfigError
-from repro.farm.doctor import audit_fingerprints
+from repro.farm.doctor import audit_fingerprints, record_key
 from repro.farm.executor import execute_job
 from repro.farm.spec import JobSpec, ShardPlan, ShardSpec
 from repro.farm.store import STORE_SCHEMA, FarmRecord, ResultStore
@@ -83,13 +83,15 @@ class TestShardSpecPinsFingerprint:
 
 
 def write_store(tmp_path, fingerprints) -> str:
-    """A store whose records carry the given fingerprints (key per
-    record); returns the directory."""
+    """A store whose records carry the given fingerprints, each keyed
+    as its own fields derive (so none is orphaned); returns the
+    directory."""
     template = execute_job(fresh_spec())
     lines = []
     for i, fp in enumerate(fingerprints):
-        record = dataclasses.replace(template, key=f"{i:064x}",
+        record = dataclasses.replace(template, repeats=i + 1,
                                      model_fingerprint=fp)
+        record = dataclasses.replace(record, key=record_key(record))
         lines.append(record.to_json())
     (tmp_path / "results.jsonl").write_text("\n".join(lines) + "\n")
     return str(tmp_path)
@@ -113,6 +115,26 @@ class TestFingerprintAudit:
         text = audit.describe()
         assert "3 drifted" in text
         assert "NEEDS ATTENTION" in text
+
+    def test_record_keyed_under_an_older_schema_is_orphaned(
+            self, tmp_path, monkeypatch):
+        """A KEY_SCHEMA bump without regeneration leaves records no
+        current key reaches, though their fingerprints still match."""
+        from repro.farm import spec as spec_module
+
+        current = execute_job(fresh_spec())
+        monkeypatch.setattr(spec_module, "KEY_SCHEMA",
+                            spec_module.KEY_SCHEMA - 1)
+        old = execute_job(fresh_spec(repeats=2))
+        monkeypatch.undo()
+        (tmp_path / "results.jsonl").write_text(
+            current.to_json() + "\n" + old.to_json() + "\n")
+        audit = audit_fingerprints(tmp_path)
+        assert (audit.live_records, audit.matching, audit.drifted,
+                audit.orphaned) == (2, 2, 0, 1)
+        assert not audit.healthy
+        assert "1 orphaned" in audit.describe()
+        assert "NEEDS ATTENTION" in audit.describe()
 
     def test_missing_alone_is_not_fatal(self, tmp_path):
         audit = audit_fingerprints(write_store(tmp_path, [None]))
