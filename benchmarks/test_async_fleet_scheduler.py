@@ -6,10 +6,11 @@ concurrent deployments" architecture:
 * **exactly-once measurement**: N overlapping fleets whose workloads
   intersect trigger exactly one simulation per unique farm job key —
   the shared batch queue dedups across fleets, not just within one;
-* **compile-once across fleets**: one ``EricCompiler.prepare()`` per
-  unique source digest, proven by the shared artifact cache's counter;
+* **compiles only where a job measures**: each executed job compiles
+  its program once, inside the farm job; the serving process itself
+  compiles nothing, so with worker processes it makes no compile at all;
 * **resume**: a warm-store rerun of the same fleets executes zero
-  simulations (100% store hits);
+  simulations and zero compiles (100% store hits);
 * **fan-out**: with worker processes to fan out over, a batched sweep
   beats ``jobs=1`` wall-clock (gated on ``os.cpu_count() >= 2`` — the
   single-core CI container degenerates to serial + pool overhead).
@@ -21,6 +22,9 @@ request/unique/executed counts are the stable content.
 import os
 import time
 
+import pytest
+
+from repro.core import compiler_driver
 from repro.eval.report import Volatile, format_table
 from repro.farm import ResultStore
 from repro.service.scheduler import FleetScheduler, load_fleet_specs
@@ -38,12 +42,29 @@ UNIQUE_JOBS = 4
 PARALLEL_JOBS = 4
 
 
-def _serve(store_dir, jobs):
-    scheduler = FleetScheduler(store=ResultStore(store_dir), jobs=jobs,
-                               batch_window=0.05)
+@pytest.fixture
+def compiles(monkeypatch):
+    """Sources handed to ``compile_source`` in this process (forked
+    farm workers count in their own copy)."""
+    calls = []
+    real = compiler_driver.compile_source
+
+    def counting(source, *args, **kwargs):
+        calls.append(source)
+        return real(source, *args, **kwargs)
+
+    monkeypatch.setattr(compiler_driver, "compile_source", counting)
+    return calls
+
+
+def _serve(store_dir, jobs, compiles):
+    """One cold or warm serve: its report, wall seconds and the compiles
+    it made in this process."""
+    scheduler = FleetScheduler(store=ResultStore(store_dir), jobs=jobs)
+    before = len(compiles)
     start = time.perf_counter()
     report = scheduler.run(load_fleet_specs(FLEETS_SPEC))
-    return report, time.perf_counter() - start
+    return report, time.perf_counter() - start, len(compiles) - before
 
 
 def _cycles_by_key(report):
@@ -52,14 +73,16 @@ def _cycles_by_key(report):
 
 
 def test_async_scheduler_batches_overlapping_fleets(benchmark, record,
-                                                    tmp_path):
+                                                    tmp_path, compiles):
     # fresh stores: the cold phases must measure simulations, not hits
-    report1, wall1 = benchmark.pedantic(
-        lambda: _serve(tmp_path / "jobs1", jobs=1),
+    report1, wall1, compiles1 = benchmark.pedantic(
+        lambda: _serve(tmp_path / "jobs1", 1, compiles),
         rounds=1, iterations=1)
-    reportN, wallN = _serve(tmp_path / "jobsN", jobs=PARALLEL_JOBS)
+    reportN, wallN, compilesN = _serve(tmp_path / "jobsN", PARALLEL_JOBS,
+                                       compiles)
     # warm resume against the jobs=1 store: everything is measured
-    warm, wall_warm = _serve(tmp_path / "jobs1", jobs=1)
+    warm, wall_warm, compiles_warm = _serve(tmp_path / "jobs1", 1,
+                                            compiles)
 
     headers = ["path", "wall ms", "jobs", "fleets", "requested",
                "unique", "executed", "store hits"]
@@ -90,16 +113,16 @@ def test_async_scheduler_batches_overlapping_fleets(benchmark, record,
     assert report1.executed == UNIQUE_JOBS, report1.summary()
     assert report1.store_hits == 0, report1.summary()
     assert reportN.executed == UNIQUE_JOBS, reportN.summary()
-    # ...and exactly one prepare() per unique source digest, through
-    # the one shared artifact cache
-    assert report1.cache_stats.compiles == UNIQUE_JOBS
-    assert reportN.cache_stats.compiles == UNIQUE_JOBS
+    # ...and one compile per executed job, made by the farm job: in
+    # this process at jobs=1, only in the workers at jobs>1
+    assert compiles1 == UNIQUE_JOBS
+    assert compilesN == 0
 
     # warm rerun: zero simulations, zero compiles, everything from
     # the store
     assert warm.executed == 0, warm.summary()
     assert warm.store_hits == UNIQUE_JOBS, warm.summary()
-    assert warm.cache_stats.compiles == 0
+    assert compiles_warm == 0
     assert all(result.from_store for fleet in warm.fleets
                for result in fleet.results)
 
@@ -115,7 +138,7 @@ def test_async_scheduler_batches_overlapping_fleets(benchmark, record,
             f"than jobs=1 ({wall1:.2f}s) on {os.cpu_count()} cpus")
 
 
-def test_scheduler_dedups_within_and_across_fleets(tmp_path):
+def test_scheduler_dedups_within_and_across_fleets(tmp_path, compiles):
     """The same job named twice inside a fleet and again by two other
     fleets still simulates once (cheap inline probes)."""
     probe = {"name": "probe", "source": "int main() { return 4; }\n"}
@@ -131,7 +154,8 @@ def test_scheduler_dedups_within_and_across_fleets(tmp_path):
     assert report.requested == 5
     assert report.unique_jobs == 2
     assert report.executed == 2, report.summary()
-    assert report.cache_stats.compiles == 1
+    # one compile per executed job (the two device seeds)
+    assert len(compiles) == 2
     # every duplicate shares the one measured record
     cycles = {r.record.eric_cycles for fleet in report.fleets
               for r in fleet.results

@@ -1,23 +1,18 @@
 #!/usr/bin/env python3
 """Async fleet serving: many deployments, one farm/store pair.
 
-``DeploymentSession.deploy_fleet`` serves one fleet at a time, and
-every fleet measures its own jobs — run ten overlapping fleets and the
-same workload simulates ten times.  The asyncio service layer removes
-both redundancies:
-
-* every concurrent fleet shares **one artifact cache** — concurrent
-  ``prepare()`` calls for the same program coalesce onto a single
-  build (``AsyncSingleFlight``), so N fleets pay one compile+sign;
-* every concurrent fleet shares **one farm/store pair** — measurement
-  requests from all in-flight fleets land in a shared batch queue,
-  are deduplicated by farm job key, simulate exactly once, and fan
-  back to every awaiting fleet.
+Serve fleets one at a time and every fleet measures its own jobs —
+run ten overlapping fleets and the same workload simulates ten times.
+The asyncio service layer removes that redundancy: every concurrent
+fleet shares **one farm/store pair**.  Measurement requests from all
+in-flight fleets land in a shared batch queue, are deduplicated by
+farm job key, run exactly once (each job compiles, signs, packages and
+simulates its own program), and fan back to every awaiting fleet.
 
 This example serves three overlapping fleets concurrently and prints
 the scheduler's accounting: 8 job requests, 6 unique jobs, 6
-simulations, 2 compiles — then a warm rerun that simulates nothing at
-all.
+simulations, 6 compiles — then a warm rerun that neither simulates nor
+compiles anything.
 
 Run:  python examples/async_fleets.py
 """
@@ -31,6 +26,7 @@ if True:  # allow running straight from a checkout
     sys.path.insert(
         0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
+from repro.core import compiler_driver
 from repro.farm import ResultStore
 from repro.obs import StagePrinter
 from repro.service.scheduler import FleetScheduler, load_fleet_specs
@@ -66,7 +62,21 @@ FLEETS = {"fleets": [
 ]}
 
 
-async def serve(store_dir: str) -> None:
+def count_compiles() -> list:
+    """Wrap the compiler's entry point so the demo can count compiles
+    (the farm runs its jobs in this process at its default jobs=1)."""
+    calls = []
+    real = compiler_driver.compile_source
+
+    def counting(source, *args, **kwargs):
+        calls.append(source)
+        return real(source, *args, **kwargs)
+
+    compiler_driver.compile_source = counting
+    return calls
+
+
+async def serve(store_dir: str, compiles: list) -> None:
     scheduler = FleetScheduler(store=ResultStore(store_dir))
     # narrate the scheduler's stages: fleet begin/end, batches, the
     # serve itself
@@ -77,14 +87,15 @@ async def serve(store_dir: str) -> None:
         for fleet in report.fleets:
             print(fleet.summary())
         print(report.summary())
-        # the multiplexing guarantee, in numbers:
-        assert report.executed == report.unique_jobs
-        assert report.cache_stats.compiles == 2  # telemetry + sensor
+        # the multiplexing guarantee, in numbers: one simulation and
+        # one compile per unique job, however many fleets asked for it
+        assert report.executed == report.unique_jobs == 6
+        assert len(compiles) == report.executed
     finally:
         await scheduler.aclose()
 
 
-async def resume(store_dir: str) -> None:
+async def resume(store_dir: str, compiles: list) -> None:
     scheduler = FleetScheduler(store=ResultStore(store_dir))
     try:
         report = await scheduler.serve(load_fleet_specs(FLEETS))
@@ -92,7 +103,7 @@ async def resume(store_dir: str) -> None:
         print("warm rerun:", report.summary())
         assert report.executed == 0          # nothing simulated twice
         assert report.store_hits == report.unique_jobs
-        assert report.cache_stats.compiles == 0   # nothing compiled either
+        assert not compiles                  # nothing compiled either
     finally:
         await scheduler.aclose()
 
@@ -100,8 +111,10 @@ async def resume(store_dir: str) -> None:
 def main() -> None:
     store_dir = tempfile.mkdtemp(prefix="eric-async-fleets-")
     print(f"store: {store_dir}\n")
-    asyncio.run(serve(store_dir))
-    asyncio.run(resume(store_dir))
+    compiles = count_compiles()
+    asyncio.run(serve(store_dir, compiles))
+    compiles.clear()
+    asyncio.run(resume(store_dir, compiles))
 
 
 if __name__ == "__main__":

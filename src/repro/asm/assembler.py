@@ -95,7 +95,9 @@ class Assembler:
         self._label_sites: list[tuple[str, str, int, int]] = []
         self._section = "text"
 
-        for line_no, raw_line in enumerate(source.splitlines(), start=1):
+        # "\n" alone ends a line: str.splitlines() would also break at
+        # \x0b, \x0c, \x1c-\x1e and \x85, which a string may hold raw
+        for line_no, raw_line in enumerate(source.split("\n"), start=1):
             self._line(raw_line, line_no)
 
         data_base = _align_up(self.text_base + len(self._text), 8)
@@ -400,6 +402,9 @@ class Assembler:
 
     def _resolve_branch(self, name: str, ops: list[str], pc: int,
                         line_no: int) -> list[Instruction]:
+        if not ops:
+            raise AssemblerError(
+                f"line {line_no}: {name} expects a target operand")
         target = self._symbol_value(ops[-1], line_no)
         offset = target - pc
 

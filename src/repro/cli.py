@@ -5,7 +5,6 @@ Subcommands::
     eric describe --config cfg.json       show an encryption configuration
     eric package  prog.c -o prog.eric     compile+sign+encrypt a program
     eric fleet    prog.c --devices 10     compile once, deploy to a fleet
-    eric fleet    prog.c --async          same rollout, asyncio fan-out
     eric run      prog.eric               decrypt+validate+run on a device
     eric inspect  prog.eric               parse a package header
     eric disasm   prog.c                  compile and disassemble (plain)
@@ -107,27 +106,9 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     # which main() renders as a clean "eric: error:" line
     session = DeploymentSession(_load_config(args.config))
     devices = [Device(device_seed=seed) for seed in seeds]
-    if args.use_async:
-        import asyncio
-
-        from repro.service.scheduler import AsyncDeploymentSession
-
-        async_session = AsyncDeploymentSession(
-            session, max_concurrency=args.max_workers)
-
-        async def _deploy():
-            try:
-                return await async_session.deploy_fleet(
-                    source, devices, name=args.source,
-                    max_instructions=args.max_instructions)
-            finally:
-                await async_session.aclose()
-
-        report = asyncio.run(_deploy())
-    else:
-        report = session.deploy_fleet(
-            source, devices, max_workers=args.max_workers,
-            name=args.source, max_instructions=args.max_instructions)
+    report = session.deploy_fleet(
+        source, devices, max_workers=args.max_workers,
+        name=args.source, max_instructions=args.max_instructions)
     print(report.summary())
     stats = session.cache_stats
     print(f"  compiles     : {stats.compiles} "
@@ -312,10 +293,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     store = None if args.no_store else ResultStore(args.store)
     _warn_skipped_lines(store)
     tracer = Tracer(store.root) if args.trace else None
-    scheduler = FleetScheduler(
-        store=store, config=None, jobs=args.jobs, shards=args.shards,
-        shard_root=args.shard_root, max_concurrency=args.max_concurrency,
-        batch_window=args.batch_window, tracer=tracer)
+    scheduler = FleetScheduler(store=store, jobs=args.jobs,
+                               shards=args.shards,
+                               shard_root=args.shard_root, tracer=tracer)
     if not args.quiet:
         scheduler.tracer.add_sink(StagePrinter(stages="scheduler."))
     report = scheduler.run(requests, force=args.force)
@@ -553,10 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "--devices/--seed-base)")
     p.add_argument("--max-workers", type=int, default=4)
     p.add_argument("--max-instructions", type=int, default=20_000_000)
-    p.add_argument("--async", dest="use_async", action="store_true",
-                   help="fan out over asyncio coroutines instead of a "
-                        "thread pool (same report, single-flight "
-                        "compile)")
     p.set_defaults(func=_cmd_fleet)
 
     p = sub.add_parser("run", help="decrypt+validate+run a package")
@@ -668,13 +644,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shard-root",
                    help="per-shard store/spec directory "
                         "(default: <store>/shards)")
-    p.add_argument("--max-concurrency", type=int, default=8,
-                   help="bound on concurrently-running blocking stages "
-                        "(default 8)")
-    p.add_argument("--batch-window", type=float, default=0.02,
-                   help="most seconds the batcher lingers for fleets "
-                        "still compiling, so fleets whose compiles "
-                        "overlap share one farm batch (default 0.02)")
     p.add_argument("--no-store", action="store_true",
                    help="measure in-memory; skip and persist nothing")
     p.add_argument("--force", action="store_true",

@@ -29,6 +29,7 @@ because :mod:`repro.farm.worker` imports the farm.
 
 from __future__ import annotations
 
+import gc
 import json
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
@@ -126,7 +127,10 @@ def dispatch_shards(plan: ShardPlan, shard_root: Path, jobs: int,
         return [_collect(tracer, shard,
                          _run_shard(spec_path, store_dir, jobs, force))]
     outcomes: list[ShardOutcome] = []
-    with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+    # forked shard workers freeze the heap they inherit, as the farm's
+    # job workers do (see SimulationFarm._execute)
+    with ProcessPoolExecutor(max_workers=len(tasks),
+                             initializer=gc.freeze) as pool:
         submitted = {
             pool.submit(_run_shard, spec_path, store_dir, jobs,
                         force): shard

@@ -18,6 +18,7 @@ every completion a ``farm.job`` event on the farm's
 
 from __future__ import annotations
 
+import gc
 import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -606,7 +607,12 @@ class SimulationFarm:
                 yield (i, *_execute_safe(specs[i], trace), False)
             return
         workers = min(self.jobs, len(pending))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a forked worker freezes the heap it inherits, so its own
+        # garbage collections never traverse (and copy on write) the
+        # parent's objects: in a large parent one full collection over
+        # them costs a good share of a short job
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=gc.freeze) as pool:
             submitted = {pool.submit(_execute_safe, specs[i], trace): i
                          for i in pending}
             outstanding = set(submitted)

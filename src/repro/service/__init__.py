@@ -6,16 +6,15 @@
 * :mod:`repro.service.cache`     — thread-safe LRU of device-independent
   compiled artifacts with hit/miss statistics
 * :mod:`repro.service.scheduler` — the asyncio service layer:
-  :class:`AsyncDeploymentSession` (coroutine session API, single-flight
-  compiles) and :class:`FleetScheduler` (many concurrent fleets
-  multiplexed over one artifact cache and one farm/store pair)
+  :class:`FleetScheduler` multiplexes many concurrent fleets over one
+  farm/store pair, measuring each unique job once
 
 Every layer observes its stages through one
 :class:`~repro.obs.trace.Tracer`, shared down the stack (daemon →
-scheduler → session and farm); attach sinks from :mod:`repro.obs.sinks`
-with ``tracer.add_sink``.
+scheduler → farm); attach sinks from :mod:`repro.obs.sinks` with
+``tracer.add_sink``.
 
-The split this package rides on lives in
+The split :class:`DeploymentSession` rides on lives in
 :mod:`repro.core.compiler_driver`: ``prepare()`` (compile + sign +
 select, device-independent, cacheable) vs ``package_artifact()``
 (encrypt + package under one device key).
@@ -24,15 +23,14 @@ select, device-independent, cacheable) vs ``package_artifact()``
 from repro.service.cache import ArtifactCache, CacheStats
 from repro.service.session import (ChannelFactory, DeploymentSession,
                                    FleetDeploymentReport,
-                                   FleetDeviceOutcome, build_fleet_report)
+                                   FleetDeviceOutcome)
 
 #: Scheduler names resolve lazily (PEP 562): the scheduler module
 #: imports asyncio, and importing it eagerly here would pull asyncio
 #: into every ``import repro``.
 _SCHEDULER_EXPORTS = frozenset({
-    "AsyncDeploymentSession", "AsyncSingleFlight", "FleetRequest",
-    "FleetScheduler", "FleetServiceReport", "SchedulerReport",
-    "load_fleet_specs",
+    "FleetRequest", "FleetScheduler", "FleetServiceReport",
+    "SchedulerReport", "load_fleet_specs",
 })
 
 
@@ -46,8 +44,6 @@ def __getattr__(name: str):
 
 __all__ = [
     "ArtifactCache",
-    "AsyncDeploymentSession",
-    "AsyncSingleFlight",
     "CacheStats",
     "ChannelFactory",
     "DeploymentSession",
@@ -57,6 +53,5 @@ __all__ = [
     "FleetScheduler",
     "FleetServiceReport",
     "SchedulerReport",
-    "build_fleet_report",
     "load_fleet_specs",
 ]

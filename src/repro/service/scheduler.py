@@ -1,24 +1,15 @@
 """Async fleet scheduler: many deployments, one farm/store pair.
 
-:class:`DeploymentSession.deploy_fleet` is thread-per-fleet, and every
-fleet measures its own jobs — run ten overlapping fleets and the same
-workload simulates ten times.  This module is the asyncio service layer
-that removes both redundancies:
-
-* :class:`AsyncDeploymentSession` ports the session API to coroutines:
-  blocking pipeline stages run in worker threads under a bounded
-  semaphore, and compilation keeps the compile-once guarantee via
-  :class:`AsyncSingleFlight` — concurrent ``prepare()`` calls for the
-  same artifact coalesce onto one build task, and a waiter being
-  cancelled never cancels (or poisons) the build for everyone else.
-
-* :class:`FleetScheduler` multiplexes many concurrent fleet deployments
-  over a **single** :class:`~repro.service.cache.ArtifactCache` and one
-  farm/store pair.  Every in-flight fleet submits its measurement jobs
-  to a shared batch queue; the batcher dedups them by farm job key,
-  executes each unique job exactly once through
-  :class:`~repro.farm.executor.SimulationFarm` (sharded or not), and
-  fans the results back to every awaiting fleet.
+Run ten overlapping fleets through :class:`~repro.farm.executor.SimulationFarm`
+one at a time and the same workload simulates ten times.  This module is
+the asyncio service layer that removes the redundancy:
+:class:`FleetScheduler` multiplexes many concurrent fleet deployments over
+one farm/store pair.  Every in-flight fleet submits its measurement jobs
+to a shared batch queue; the batcher dedups them by farm job key,
+executes each unique job exactly once through the farm (sharded or not),
+and fans the results back to every awaiting fleet.  Each farm job
+compiles, signs and packages its own program, so the scheduler itself
+compiles nothing.
 
 ::
 
@@ -30,9 +21,7 @@ that removes both redundancies:
     ])
     print(report.summary())   # crc32 simulated once, not twice
 
-``eric serve --fleets spec.json`` is the command-line wrapper;
-``eric fleet --async`` routes a single fleet through
-:class:`AsyncDeploymentSession`.
+``eric serve --fleets spec.json`` is the command-line wrapper.
 """
 
 from __future__ import annotations
@@ -40,178 +29,14 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass
-from functools import partial
-from typing import Awaitable, Callable, Sequence
+from typing import Sequence
 
-from repro.core.compiler_driver import CompiledArtifact, source_digest
-from repro.core.config import EricConfig
-from repro.core.device import Device
-from repro.errors import ConfigError, EricError, ProvisioningError
+from repro.errors import ConfigError, EricError
 from repro.farm.executor import FarmJobResult, FarmReport, SimulationFarm
 from repro.farm.spec import JobMatrix, JobSpec
 from repro.farm.store import ResultStore
 from repro.obs.metrics import METRICS
 from repro.obs.trace import TraceContext, Tracer
-from repro.service.cache import CacheStats
-from repro.service.session import (DeploymentSession, FleetDeploymentReport,
-                                   build_fleet_report)
-
-
-class AsyncSingleFlight:
-    """Coalesce concurrent builds of the same key onto one task.
-
-    The asyncio port of the :class:`~repro.service.cache.ArtifactCache`
-    build-lock semantics: the first ``run()`` for a key launches the
-    build as its **own** task, later callers attach to it, and every
-    waiter awaits through :func:`asyncio.shield` — so cancelling a
-    waiting fleet neither cancels the build nor leaves a poisoned
-    (cancelled) future behind for the next caller.  A build that fails
-    retires its entry, and the exception propagates to every waiter;
-    the next ``run()`` retries from scratch.
-    """
-
-    def __init__(self) -> None:
-        self._tasks: dict[object, asyncio.Task] = {}
-
-    def __len__(self) -> int:
-        return len(self._tasks)
-
-    async def run(self, key, build: Callable[[], Awaitable]):
-        task = self._tasks.get(key)
-        if task is None or task.done():
-            task = asyncio.ensure_future(self._build(key, build()))
-            self._tasks[key] = task
-            METRICS.inc("singleflight.builds")
-        else:
-            METRICS.inc("singleflight.coalesced")
-        return await asyncio.shield(task)
-
-    async def _build(self, key, awaitable):
-        try:
-            return await awaitable
-        finally:
-            self._tasks.pop(key, None)
-
-    async def drain(self) -> None:
-        """Await every in-flight build (success or failure) — shutdown
-        hygiene so no build task outlives its event loop."""
-        tasks = list(self._tasks.values())
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
-
-
-class AsyncDeploymentSession:
-    """asyncio front end over one :class:`DeploymentSession`.
-
-    Every blocking stage (compile, enroll, encrypt, simulate) runs in a
-    worker thread; ``max_concurrency`` bounds how many run at once.  The
-    artifact cache stays compile-once under concurrency: ``prepare()``
-    goes through :class:`AsyncSingleFlight` *on top of* the session's
-    thread-safe cache, so coalescing happens at the coroutine layer and
-    concurrent fleets never even queue worker threads on the cache's
-    per-key build lock.
-
-    One instance serves one event loop at a time (loop-bound primitives
-    are re-created when a new loop first uses the session, so sequential
-    ``asyncio.run()`` calls may reuse it).  Stage events go to the
-    session's tracer (``session.tracer``).
-    """
-
-    def __init__(self, session: DeploymentSession | None = None, *,
-                 config: EricConfig | None = None,
-                 max_concurrency: int = 8) -> None:
-        if session is not None and config is not None:
-            raise ConfigError(
-                "pass either an existing session or a config, not both")
-        if max_concurrency < 1:
-            raise ConfigError("max_concurrency must be at least 1")
-        self.session = session or DeploymentSession(config)
-        self.max_concurrency = max_concurrency
-        self._flight = AsyncSingleFlight()
-        self._semaphore: asyncio.Semaphore | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-
-    @property
-    def cache_stats(self) -> CacheStats:
-        return self.session.cache_stats
-
-    async def _call(self, func, *args, **kwargs):
-        """Run one blocking stage in a worker thread, semaphore-bounded."""
-        loop = asyncio.get_running_loop()
-        if self._loop is not loop:
-            # first use on this loop (or a fresh asyncio.run): rebind
-            self._loop = loop
-            self._semaphore = asyncio.Semaphore(self.max_concurrency)
-        async with self._semaphore:
-            return await loop.run_in_executor(
-                None, partial(func, *args, **kwargs))
-
-    # -- the compile-once stage -------------------------------------------
-
-    async def prepare(self, source: str, name: str = "program",
-                      config: EricConfig | None = None) -> CompiledArtifact:
-        """Fetch or build the device-independent artifact, single-flight."""
-        artifact, _ = await self.prepare_traced(source, name, config)
-        return artifact
-
-    async def prepare_traced(self, source: str, name: str = "program",
-                             config: EricConfig | None = None,
-                             ) -> tuple[CompiledArtifact, bool]:
-        """As :meth:`prepare`, also reporting whether this call (or the
-        in-flight build it joined) compiled rather than hit the cache."""
-        config = config or self.session.config
-        key = (source_digest(source), name, config)
-        return await self._flight.run(
-            key, lambda: self._call(self.session.prepare_for_config,
-                                    source, name, config))
-
-    # -- deployment -------------------------------------------------------
-
-    async def deploy(self, source: str, device: Device,
-                     name: str = "program",
-                     max_instructions: int = 20_000_000):
-        """Async :meth:`DeploymentSession.deploy`: the full per-device
-        flow, with the compile stage single-flighted."""
-        await self.prepare(source, name)  # warm the cache, coalesced
-        return await self._call(self.session.deploy, source, device,
-                                None, name, max_instructions)
-
-    async def deploy_fleet(self, source: str, devices: Sequence[Device],
-                           *, name: str = "program",
-                           max_instructions: int = 20_000_000,
-                           ) -> FleetDeploymentReport:
-        """Async fleet rollout: one coalesced compile, per-device
-        encrypt/ship/run fanned out as bounded concurrent coroutines.
-
-        Same contract as the thread-pool
-        :meth:`DeploymentSession.deploy_fleet` — per-device failures
-        land in outcomes, the report's stage accounting is shared code.
-        """
-        if not devices:
-            raise ProvisioningError("deploy_fleet needs at least one device")
-        fleet_start = time.perf_counter()
-        artifact, compiled = await self.prepare_traced(source, name)
-        # enrollment stays serial: the registry is the trusted vendor DB
-        keys = await self._call(
-            lambda: [self.session.registry.ensure_enrolled(device)
-                     for device in devices])
-        outcomes = await asyncio.gather(*(
-            self._call(self.session.deploy_one_prepared, artifact,
-                       device, key, max_instructions=max_instructions)
-            for device, key in zip(devices, keys)))
-        wall_s = time.perf_counter() - fleet_start
-        report = build_fleet_report(
-            name, artifact, outcomes, wall_s,
-            cache_hit=not compiled, cache_stats=self.session.cache.stats)
-        self.session.tracer.event(
-            "fleet", wall_s, ok=report.all_ok,
-            detail=f"{len(report.succeeded)}/{len(outcomes)} ok [async]",
-            attrs={"program": name})
-        return report
-
-    async def aclose(self) -> None:
-        """Await outstanding single-flight builds (shutdown hygiene)."""
-        await self._flight.drain()
 
 
 @dataclass(frozen=True)
@@ -296,9 +121,6 @@ class FleetServiceReport:
     #: authoritative execution tally lives in :class:`SchedulerReport`.
     results: tuple[FarmJobResult, ...]
     wall_s: float
-    #: unique compiled artifacts the fleet's jobs ride on (the
-    #: compile-once half; the session's cache stats count actual builds)
-    artifacts: int
 
     @property
     def records(self):
@@ -340,7 +162,6 @@ class SchedulerReport:
     #: one :class:`FarmReport` per batch the shared queue executed
     batches: tuple[FarmReport, ...]
     wall_s: float
-    cache_stats: CacheStats
     store_path: str | None
 
     @property
@@ -404,8 +225,7 @@ class SchedulerReport:
                 f"{self.unique_jobs} unique, {self.executed} executed, "
                 f"{self.store_hits} store hit(s) over "
                 f"{len(self.batches)} batch(es) in "
-                f"{self.wall_s * 1e3:.1f} ms; "
-                f"compiles={self.cache_stats.compiles}")
+                f"{self.wall_s * 1e3:.1f} ms")
 
 
 class FleetScheduler:
@@ -413,68 +233,39 @@ class FleetScheduler:
 
     Args:
         store: the shared result store (None measures in-memory).
-        session: deployment session whose artifact cache every fleet
-            shares; a fresh one if not given.  It brings its own
-            tracer, which the scheduler and its farm share.
-        config: packaging config for the fresh session (exclusive with
-            ``session``).
         jobs: farm worker processes per batch (with ``shards``,
             processes per shard).
         shards: >0 shards every batch over that many worker farms
             whose stores merge into ``store`` (required then).
         shard_root: per-shard store/spec directory (sharded only).
-        max_concurrency: bound on concurrently-running blocking stages.
-        batch_window: the most seconds the batcher lingers before a
-            drain while a fleet :meth:`deploy_fleet` began is still
-            preparing its artifacts, so fleets whose compiles overlap
-            coalesce into one farm batch.  With no fleet preparing it
-            drains after one event-loop yield (jobs queued in the same
-            tick share a batch); 0 never lingers.
-        tracer: the :class:`~repro.obs.trace.Tracer` for the fresh
-            session (exclusive with ``session``; a memory-only one if
-            not given), shared with the farm backend.  Each fleet is a
+        tracer: the :class:`~repro.obs.trace.Tracer` shared with the
+            farm (a memory-only one if not given).  Each fleet is a
             ``scheduler.fleet`` span and each executed batch a
             ``scheduler.batch`` span parented under the first
             requester's context, with the farm sweep (and its jobs,
             across process boundaries) beneath it; its sinks see those
             spans, the ``scheduler.fleet.begin`` and
-            ``scheduler.serve`` events, and the session's and farm's
-            own stages.
+            ``scheduler.serve`` events, and the farm's own stages.
 
     The dedup guarantee does **not** depend on batching luck: a job key
     is tracked from first request to fan-back, so a fleet asking for a
     key that is queued or mid-execution attaches to the same future,
     and a key measured by an earlier batch is a store hit for every
     later one (with no store, a scheduler-side memo stands in).  N
-    overlapping fleets cost one simulation per unique key and one
-    compile per unique artifact — period.  Forced re-measures are
-    isolated: forced jobs batch separately, never attach to un-forced
-    work, and never drag other fleets' un-forced jobs into a
-    re-measure (see :meth:`measure`).
+    overlapping fleets cost one simulation per unique key — period.
+    Forced re-measures are isolated: forced jobs batch separately,
+    never attach to un-forced work, and never drag other fleets'
+    un-forced jobs into a re-measure (see :meth:`measure`).
     """
 
     def __init__(self, store: ResultStore | None = None, *,
-                 session: DeploymentSession | None = None,
-                 config: EricConfig | None = None, jobs: int = 1,
-                 shards: int = 0, shard_root=None,
-                 max_concurrency: int = 8, batch_window: float = 0.02,
+                 jobs: int = 1, shards: int = 0, shard_root=None,
                  tracer: Tracer | None = None) -> None:
-        if batch_window < 0:
-            raise ConfigError("batch_window must be non-negative")
-        if session is None:
-            session = DeploymentSession(config, tracer=tracer)
-        elif config is not None or tracer is not None:
-            raise ConfigError("pass either an existing session or "
-                              "config/tracer knobs, not both: a "
-                              "session brings its own")
-        self.tracer = session.tracer
+        self.tracer = tracer if tracer is not None else Tracer()
         self.farm = SimulationFarm(store=store, jobs=jobs, shards=shards,
                                    shard_root=shard_root,
                                    tracer=self.tracer)
         self.store = store
-        self.batch_window = batch_window
-        self.async_session = AsyncDeploymentSession(
-            session, max_concurrency=max_concurrency)
         #: every batch the shared queue has executed (all serves)
         self.batch_reports: list[FarmReport] = []
         #: resolved outcomes by job key when there is no store — the
@@ -487,12 +278,7 @@ class FleetScheduler:
         # resolve to a stale store hit), and vice versa.
         self._loop: asyncio.AbstractEventLoop | None = None
         self._wakeup: asyncio.Event | None = None
-        #: set while no fleet is preparing its artifacts
-        self._prepared: asyncio.Event | None = None
         self._batcher: asyncio.Task | None = None
-        #: fleets deploy_fleet began that have not yet queued their
-        #: jobs (still in _prepare_artifacts)
-        self._preparing = 0
         # pending entries carry the requester's trace context so the
         # batch span can parent under whoever triggered the batch
         self._pending: list[tuple[tuple[str, bool], JobSpec,
@@ -510,9 +296,6 @@ class FleetScheduler:
         # from a previous, now-dead loop is unusable by construction
         self._loop = loop
         self._wakeup = asyncio.Event()
-        self._prepared = asyncio.Event()
-        if not self._preparing:
-            self._prepared.set()
         self._pending = []
         self._inflight = {}
         self._batcher = loop.create_task(self._batch_loop())
@@ -577,16 +360,6 @@ class FleetScheduler:
             await self._wakeup.wait()
             # one yield lets jobs queued in the same tick join the drain
             await asyncio.sleep(0)
-            if self._preparing:
-                # linger while a fleet is still preparing so fleets
-                # whose compiles overlap land in one farm batch (pure
-                # wall-clock economy; the dedup guarantee holds for any
-                # batching)
-                try:
-                    await asyncio.wait_for(self._prepared.wait(),
-                                           self.batch_window)
-                except asyncio.TimeoutError:
-                    pass
             self._wakeup.clear()
             batch, self._pending = self._pending, []
             if not batch:
@@ -658,13 +431,11 @@ class FleetScheduler:
                            force: bool = False,
                            trace_parent: TraceContext | None = None,
                            ) -> FleetServiceReport:
-        """Serve one fleet: prepare its artifacts (coalesced across all
-        in-flight fleets), then measure its jobs through the shared
-        batch queue.  The fleet is a ``scheduler.fleet`` span —
-        parented under ``trace_parent`` (e.g. a daemon request's root
-        span) — whose context rides into the shared batch."""
+        """Serve one fleet: measure its jobs through the shared batch
+        queue.  The fleet is a ``scheduler.fleet`` span — parented under
+        ``trace_parent`` (e.g. a daemon request's root span) — whose
+        context rides into the shared batch."""
         request.validate()
-        self._ensure_started()
         start = time.perf_counter()
         span = self.tracer.start("scheduler.fleet", parent=trace_parent,
                                  attrs={"fleet": request.name,
@@ -673,7 +444,6 @@ class FleetScheduler:
                           detail=f"{len(request.jobs)} job(s)",
                           attrs={"fleet": request.name})
         try:
-            artifacts = await self._prepare_artifacts(request, force)
             results = await self.measure(request.jobs, force=force,
                                          trace_parent=span.context)
         except BaseException as exc:
@@ -681,50 +451,11 @@ class FleetScheduler:
             raise
         report = FleetServiceReport(
             name=request.name, results=results,
-            wall_s=time.perf_counter() - start, artifacts=artifacts)
+            wall_s=time.perf_counter() - start)
         span.finish(ok=report.ok,
                     detail=(f"{report.store_hits} store hit(s), "
                             f"{len(report.failures)} failed"))
         return report
-
-    def _is_measured(self, spec: JobSpec) -> bool:
-        key = spec.key()
-        if self.store is not None:
-            return key in self.store
-        return key in self._done
-
-    async def _prepare_artifacts(self, request: FleetRequest,
-                                 force: bool) -> int:
-        """The compile-once half: at most one ``prepare()`` per unique
-        (source, name, config) across *all* concurrent fleets — the
-        async single-flight plus the shared artifact cache make the
-        per-digest guarantee, this just enumerates what to warm.
-
-        An artifact whose every job is already measured (store or memo)
-        is not compiled at all: a fully-warm serve must cost ~nothing,
-        exactly like a warm farm resume.  Returns the number of unique
-        artifacts the fleet rides on (warmed or already served).
-        """
-        wanted: dict[tuple, list] = {}
-        for spec in request.jobs:
-            source, _ = spec.resolve_source()
-            key = (source_digest(source), spec.display_name, spec.config)
-            entry = wanted.setdefault(
-                key, [source, spec.display_name, spec.config, False])
-            if force or not self._is_measured(spec):
-                entry[3] = True  # at least one job will really measure
-        self._preparing += 1
-        self._prepared.clear()
-        try:
-            await asyncio.gather(*(
-                self.async_session.prepare(source, name, config)
-                for source, name, config, needed in wanted.values()
-                if needed))
-        finally:
-            self._preparing -= 1
-            if not self._preparing:
-                self._prepared.set()
-        return len(wanted)
 
     async def serve(self, requests: Sequence[FleetRequest],
                     force: bool = False) -> SchedulerReport:
@@ -738,7 +469,6 @@ class FleetScheduler:
         requests = tuple(requests)
         if not requests:
             raise ConfigError("serve needs at least one fleet request")
-        self._ensure_started()
         first_batch = len(self.batch_reports)
         start = time.perf_counter()
         fleets = await asyncio.gather(*(
@@ -749,7 +479,6 @@ class FleetScheduler:
             fleets=tuple(fleets),
             batches=tuple(self.batch_reports[first_batch:]),
             wall_s=wall_s,
-            cache_stats=self.async_session.cache_stats,
             store_path=(str(self.store.path) if self.store is not None
                         else None))
         self.tracer.event("scheduler.serve", wall_s, ok=report.all_ok,
@@ -773,7 +502,6 @@ class FleetScheduler:
                 future.cancel()
         self._inflight = {}
         self._pending = []
-        await self.async_session.aclose()
 
     def run(self, requests: Sequence[FleetRequest],
             force: bool = False) -> SchedulerReport:

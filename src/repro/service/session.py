@@ -127,38 +127,6 @@ class FleetDeploymentReport:
         return "\n".join(lines)
 
 
-def build_fleet_report(name: str, artifact: CompiledArtifact,
-                       outcomes: Sequence[FleetDeviceOutcome],
-                       wall_s: float, *, cache_hit: bool,
-                       cache_stats: CacheStats) -> FleetDeploymentReport:
-    """Aggregate per-device outcomes into one fleet report.
-
-    Shared by the thread-pool :meth:`DeploymentSession.deploy_fleet`
-    and the asyncio :class:`repro.service.scheduler.AsyncDeploymentSession`
-    so the stage accounting (one compile+sign, N encrypt+package, the
-    once-paid map-selection share) cannot drift between the two paths.
-    """
-    encryption_s = packaging_s = 0.0
-    timed = 0
-    for outcome in outcomes:
-        # failed devices still paid for encrypt+package, so the
-        # "(all devices)" aggregate counts their timings too
-        if outcome.timings is not None:
-            timed += 1
-            encryption_s += outcome.timings.encryption_s
-            packaging_s += outcome.timings.packaging_s
-    # per-device encryption_s carries the once-paid map-selection
-    # time (single-device parity); the fleet paid it once, not N×
-    encryption_s -= max(0, timed - 1) * artifact.selection_s
-    return FleetDeploymentReport(
-        program=name, outcomes=tuple(outcomes), wall_s=wall_s,
-        compile_s=artifact.compile_s,
-        signature_s=artifact.signature_s,
-        encryption_s=encryption_s, packaging_s=packaging_s,
-        cache_hit=cache_hit, cache_stats=cache_stats,
-    )
-
-
 class DeploymentSession:
     """A long-lived software source deploying to many devices.
 
@@ -199,31 +167,17 @@ class DeploymentSession:
                  ) -> tuple[CompiledArtifact, bool]:
         """As :meth:`prepare`, also reporting whether this call compiled
         (False = served from cache), race-free under concurrent use."""
-        return self.prepare_for_config(source, name, self.config)
-
-    def prepare_for_config(self, source: str, name: str,
-                           config: EricConfig,
-                           ) -> tuple[CompiledArtifact, bool]:
-        """Fetch or build an artifact under an explicit config.
-
-        The session's own config is just the default: the async fleet
-        scheduler serves fleets whose jobs sweep packaging configs, and
-        all of them share this one cache (which is keyed by config, so
-        variants never collide).  Returns ``(artifact, compiled)``.
-        """
-        config = config.validate()
-        compiler = (self.compiler if config == self.config
-                    else EricCompiler(config))
         digest = source_digest(source)
         built: list[float] = []
 
         def build() -> CompiledArtifact:
             start = time.perf_counter()
-            artifact = compiler.prepare(source, name)
+            artifact = self.compiler.prepare(source, name)
             built.append(time.perf_counter() - start)
             return artifact
 
-        artifact = self.cache.get_or_build(digest, name, config, build)
+        artifact = self.cache.get_or_build(digest, name, self.config,
+                                           build)
         # emitted after get_or_build: sinks may inspect cache_stats
         if built:
             self.tracer.event("compile", built[0], detail=digest[:12],
@@ -294,32 +248,6 @@ class DeploymentSession:
 
     # -- fleet fan-out ----------------------------------------------------
 
-    def deploy_one_prepared(self, artifact: CompiledArtifact,
-                            device: Device, target_key: bytes, *,
-                            max_instructions: int = 20_000_000,
-                            ) -> FleetDeviceOutcome:
-        """Package/ship/run one already-prepared artifact on one device,
-        never raising: failures land in the outcome (the fleet fan-out
-        unit, also driven concurrently by the async scheduler)."""
-        start = time.perf_counter()
-        packaged = None
-        try:
-            packaged = self._package_stage(artifact, device.device_id,
-                                           target_key)
-            result = self._ship_and_run(packaged, device,
-                                        self.channel_factory(),
-                                        artifact.name,
-                                        max_instructions)
-        except EricError as exc:
-            return FleetDeviceOutcome(
-                device_id=device.device_id, result=None, error=exc,
-                wall_s=time.perf_counter() - start,
-                timings=packaged.timings if packaged else None)
-        return FleetDeviceOutcome(
-            device_id=device.device_id, result=result, error=None,
-            wall_s=time.perf_counter() - start,
-            timings=packaged.timings)
-
     def deploy_fleet(self, source: str, devices: Sequence[Device], *,
                      max_workers: int = 4, name: str = "program",
                      max_instructions: int = 20_000_000,
@@ -342,9 +270,26 @@ class DeploymentSession:
 
         def deploy_one(device: Device,
                        target_key: bytes) -> FleetDeviceOutcome:
-            return self.deploy_one_prepared(
-                artifact, device, target_key,
-                max_instructions=max_instructions)
+            """Package/ship/run on one device, never raising: failures
+            land in the outcome."""
+            start = time.perf_counter()
+            packaged = None
+            try:
+                packaged = self._package_stage(artifact, device.device_id,
+                                               target_key)
+                result = self._ship_and_run(packaged, device,
+                                            self.channel_factory(),
+                                            artifact.name,
+                                            max_instructions)
+            except EricError as exc:
+                return FleetDeviceOutcome(
+                    device_id=device.device_id, result=None, error=exc,
+                    wall_s=time.perf_counter() - start,
+                    timings=packaged.timings if packaged else None)
+            return FleetDeviceOutcome(
+                device_id=device.device_id, result=result, error=None,
+                wall_s=time.perf_counter() - start,
+                timings=packaged.timings)
 
         workers = min(max_workers, len(devices))
         if workers == 1:
@@ -354,8 +299,19 @@ class DeploymentSession:
                 outcomes = list(pool.map(deploy_one, devices, keys))
 
         wall_s = time.perf_counter() - fleet_start
-        report = build_fleet_report(
-            name, artifact, outcomes, wall_s,
+        # failed devices still paid for encrypt+package, so the "(all
+        # devices)" aggregate counts their timings too
+        timings = [o.timings for o in outcomes if o.timings is not None]
+        # per-device encryption_s carries the once-paid map-selection
+        # time (single-device parity); the fleet paid it once, not N×
+        encryption_s = (sum(t.encryption_s for t in timings)
+                        - max(0, len(timings) - 1) * artifact.selection_s)
+        report = FleetDeploymentReport(
+            program=name, outcomes=tuple(outcomes), wall_s=wall_s,
+            compile_s=artifact.compile_s,
+            signature_s=artifact.signature_s,
+            encryption_s=encryption_s,
+            packaging_s=sum(t.packaging_s for t in timings),
             cache_hit=not compiled, cache_stats=self.cache.stats)
         self.tracer.event(
             "fleet", wall_s, ok=report.all_ok,

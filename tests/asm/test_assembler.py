@@ -1,5 +1,8 @@
 """Assembler behaviour: parsing, labels, pseudos, fixups, sections."""
 
+import functools
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -234,6 +237,15 @@ class TestPseudos:
         # lui sign-extension irrelevant at our small addresses
         assert hi + instrs[1].imm == address
 
+    @pytest.mark.parametrize("mnemonic", [
+        "call", "j", "tail", "beqz", "bnez", "bltz", "bgez", "blez",
+        "bgtz", "bgt", "bgtu", "ble", "bleu"])
+    def test_branch_without_operands_is_an_assembler_error(self,
+                                                           mnemonic):
+        # was a raw IndexError: the target was read before the count
+        with pytest.raises(AssemblerError, match="expects"):
+            assemble(f"main:\n  {mnemonic}\n")
+
 
 class TestDataSection:
     def test_word_dword_byte(self):
@@ -463,3 +475,51 @@ class TestPlainSerialization:
         .data
         v: .dword 99
         """
+
+
+@functools.lru_cache(maxsize=None)
+def _workload_assembly() -> tuple[tuple[str, ...], ...]:
+    """The 8 workloads' compiled assembly, one tuple of lines each."""
+    from repro.cc.driver import compile_source
+    from repro.workloads import all_workloads
+
+    return tuple(
+        tuple(compile_source(w.source, name=name).asm_text.split("\n"))
+        for name, w in sorted(all_workloads().items()))
+
+
+@st.composite
+def _mutated_program(draw) -> str:
+    """One workload's assembly with one line edited: a character
+    deleted or inserted, the line cut short, or its operands dropped
+    (the line cut after its first word)."""
+    lines = list(draw(st.sampled_from(_workload_assembly())))
+    index = draw(st.integers(0, len(lines) - 1))
+    line = lines[index]
+    edit = draw(st.sampled_from(["delete", "insert", "cut", "operands"]))
+    if edit == "operands":
+        at = re.match(r"\s*\S*", line).end()
+    else:
+        at = draw(st.integers(0, len(line)))
+    if edit == "delete":
+        line = line[:at] + line[at + 1:]
+    elif edit == "insert":
+        line = (line[:at] + draw(st.characters(max_codepoint=0xFF))
+                + line[at:])
+    else:
+        line = line[:at]
+    lines[index] = line
+    return "\n".join(lines)
+
+
+class TestMutatedAssembly:
+    """Untrusted assembly fails only with :class:`AssemblerError`."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(source=_mutated_program())
+    def test_mutated_workload_lines_raise_only_assembler_errors(
+            self, source):
+        try:
+            assemble(source)
+        except AssemblerError:
+            pass

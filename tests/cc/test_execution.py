@@ -1,6 +1,13 @@
 """End-to-end MiniC programs: compile, run, check output/exit code."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cc.driver import compile_source
+
+#: what a MiniC string literal must escape (a raw newline ends it)
+_MINIC_ESCAPED = {"\\": "\\\\", '"': '\\"', "\n": "\\n"}
 
 
 class TestBasics:
@@ -480,3 +487,25 @@ class TestLargerPrograms:
         }
         """
         assert run_c(source).stdout == str(0x123456789AB // 1000000)
+
+
+class TestStringLiterals:
+    """Every latin-1 character a MiniC string holds reaches the data
+    section, including those ``str.splitlines()`` treats as line ends
+    (``\\x0b``, ``\\x0c``, ``\\x1c``-``\\x1e``, ``\\x85``)."""
+
+    def test_form_feed_reaches_the_console(self, run_c):
+        source = 'int main() { print_str("a\x0cb"); return 0; }'
+        assert run_c(source).stdout == "a\x0cb"
+
+    @settings(max_examples=60, deadline=None)
+    @given(text=st.text(st.characters(min_codepoint=1,
+                                      max_codepoint=0xFF), max_size=24))
+    def test_any_latin_1_string_compiles_to_its_bytes(self, text):
+        literal = "".join(_MINIC_ESCAPED.get(ch, ch) for ch in text)
+        program = compile_source(
+            'int main() { print_str("' + literal + '"); return 0; }'
+        ).program
+        offset = program.symbols["__str0"] - program.data_base
+        assert program.data[offset:offset + len(text) + 1] \
+            == text.encode("latin-1") + b"\x00"

@@ -1,19 +1,17 @@
-"""Async fleet scheduler: single-flight, batching, fan-back, spans."""
+"""Async fleet scheduler: batching, dedup, fan-back, spans."""
 
 import asyncio
 
 import pytest
 
-from repro.core.device import Device
-from repro.errors import ConfigError, EricError, ProvisioningError
+from repro.core import compiler_driver
+from repro.errors import ConfigError, EricError
 from repro.farm import (FarmJobResult, FarmReport, ResultStore,
                         SimulationFarm)
 from repro.obs.sinks import RecordingTelemetry
 from repro.obs.trace import Tracer
-from repro.service.scheduler import (AsyncDeploymentSession,
-                                     AsyncSingleFlight, FleetRequest,
-                                     FleetScheduler, load_fleet_specs)
-from repro.service.session import DeploymentSession
+from repro.service.scheduler import (FleetRequest, FleetScheduler,
+                                     load_fleet_specs)
 
 PROBE = "int main() { return 0; }\n"
 
@@ -42,120 +40,19 @@ class InstantFarm:
             wall_s=0.0, jobs=1, store_path=None)
 
 
-class TestAsyncSingleFlight:
-    def test_concurrent_runs_coalesce(self):
-        flight = AsyncSingleFlight()
-        builds = []
+@pytest.fixture
+def compiles(monkeypatch):
+    """Sources handed to ``compile_source`` in this process, in call
+    order (forked farm workers count in their own copy)."""
+    calls = []
+    real = compiler_driver.compile_source
 
-        async def build():
-            builds.append(1)
-            await asyncio.sleep(0.01)
-            return "artifact"
+    def counting(source, *args, **kwargs):
+        calls.append(source)
+        return real(source, *args, **kwargs)
 
-        async def go():
-            results = await asyncio.gather(
-                *(flight.run("key", build) for _ in range(5)))
-            return results
-
-        assert asyncio.run(go()) == ["artifact"] * 5
-        assert len(builds) == 1
-
-    def test_cancelled_waiter_does_not_poison_the_build(self):
-        flight = AsyncSingleFlight()
-        builds = []
-
-        async def build():
-            builds.append(1)
-            await asyncio.sleep(0.05)
-            return "artifact"
-
-        async def go():
-            first = asyncio.ensure_future(flight.run("key", build))
-            await asyncio.sleep(0.01)
-            first.cancel()
-            with pytest.raises(asyncio.CancelledError):
-                await first
-            # the build survived its only waiter's cancellation: a new
-            # waiter attaches to the same in-flight task
-            return await flight.run("key", build)
-
-        assert asyncio.run(go()) == "artifact"
-        assert len(builds) == 1
-
-    def test_failed_build_retires_and_retries(self):
-        flight = AsyncSingleFlight()
-        attempts = []
-
-        async def build():
-            attempts.append(1)
-            if len(attempts) == 1:
-                raise RuntimeError("transient")
-            return "artifact"
-
-        async def go():
-            with pytest.raises(RuntimeError):
-                await flight.run("key", build)
-            return await flight.run("key", build)
-
-        assert asyncio.run(go()) == "artifact"
-        assert len(attempts) == 2
-
-
-class TestAsyncDeploymentSession:
-    def test_fleet_matches_sync_contract(self):
-        session = DeploymentSession()
-        async_session = AsyncDeploymentSession(session)
-        devices = [Device(device_seed=0x8800 + i) for i in range(4)]
-
-        async def go():
-            try:
-                return await async_session.deploy_fleet(
-                    PROBE, devices, name="probe")
-            finally:
-                await async_session.aclose()
-
-        report = asyncio.run(go())
-        assert report.all_ok
-        assert report.device_count == 4
-        assert not report.cache_hit
-        assert session.cache_stats.compiles == 1
-        assert {o.device_id for o in report.outcomes} \
-            == {d.device_id for d in devices}
-        # the aggregation is the shared build_fleet_report: compile
-        # paid once, encryption accounted per device
-        assert report.compile_s > 0
-        assert report.encryption_s > 0
-
-    def test_concurrent_prepares_compile_once(self):
-        async_session = AsyncDeploymentSession(DeploymentSession())
-
-        async def go():
-            try:
-                artifacts = await asyncio.gather(
-                    *(async_session.prepare(PROBE, "probe")
-                      for _ in range(6)))
-                return artifacts
-            finally:
-                await async_session.aclose()
-
-        artifacts = asyncio.run(go())
-        assert len({id(a) for a in artifacts}) == 1
-        assert async_session.cache_stats.compiles == 1
-
-    def test_empty_fleet_rejected(self):
-        async_session = AsyncDeploymentSession(DeploymentSession())
-        with pytest.raises(ProvisioningError):
-            asyncio.run(async_session.deploy_fleet(PROBE, []))
-
-    def test_session_and_config_are_exclusive(self):
-        from repro.core.config import EricConfig
-        with pytest.raises(ConfigError):
-            AsyncDeploymentSession(DeploymentSession(),
-                                   config=EricConfig())
-
-    def test_max_concurrency_validated(self):
-        with pytest.raises(ConfigError):
-            AsyncDeploymentSession(max_concurrency=0)
+    monkeypatch.setattr(compiler_driver, "compile_source", counting)
+    return calls
 
 
 class TestFleetSpecs:
@@ -183,7 +80,8 @@ class TestFleetSpecs:
 
 
 class TestFleetScheduler:
-    def test_overlapping_fleets_execute_each_key_once(self, tmp_path):
+    def test_overlapping_fleets_execute_each_key_once(self, tmp_path,
+                                                      compiles):
         requests = load_fleet_specs({"fleets": [
             probe_fleet("alpha", [1, 2]),
             probe_fleet("beta", [2, 3]),
@@ -194,7 +92,9 @@ class TestFleetScheduler:
         assert report.requested == 4
         assert report.unique_jobs == 3
         assert report.executed == 3
-        assert report.cache_stats.compiles == 1
+        # each executed job compiles once, in the farm; the scheduler
+        # itself compiles nothing
+        assert compiles == [PROBE] * 3
 
     def test_sharded_scheduler_executes_each_key_once(self, tmp_path):
         """Overlapping fleets over a sharded farm: every unique key is
@@ -223,8 +123,7 @@ class TestFleetScheduler:
     def test_staggered_fleet_attaches_to_inflight_work(self, tmp_path):
         """A fleet arriving while another's batch is queued or already
         executing still costs zero extra simulations."""
-        scheduler = FleetScheduler(store=ResultStore(tmp_path),
-                                   batch_window=0.0)
+        scheduler = FleetScheduler(store=ResultStore(tmp_path))
         first = FleetRequest.from_spec(probe_fleet("first", [1, 2]))
         second = FleetRequest.from_spec(probe_fleet("second", [2, 3]))
 
@@ -322,13 +221,7 @@ class TestFleetScheduler:
         tracer = Tracer()
         scheduler = FleetScheduler(tracer=tracer)
         assert scheduler.tracer is tracer
-        assert scheduler.async_session.session.tracer is tracer
         assert scheduler.farm.tracer is tracer
-        # an explicit session brings its own tracer
-        session = DeploymentSession()
-        assert FleetScheduler(session=session).tracer is session.tracer
-        with pytest.raises(ConfigError, match="not both"):
-            FleetScheduler(session=session, tracer=tracer)
 
     def test_invalid_spec_does_not_poison_the_queue(self):
         """A spec failing validation raises before any shared state is
@@ -369,11 +262,6 @@ class TestFleetScheduler:
         with pytest.raises(ConfigError):
             FleetScheduler(shards=2)
 
-    def test_negative_batch_window_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
-            FleetScheduler(store=ResultStore(tmp_path),
-                           batch_window=-1.0)
-
     def test_storeless_scheduler_measures_in_memory(self):
         scheduler = FleetScheduler()
         assert isinstance(scheduler.farm, SimulationFarm)
@@ -407,8 +295,7 @@ class TestFleetScheduler:
         """Two serve() calls sharing one batch must not double-count
         the shared work: each report's executed stays bounded by its
         own unique_jobs."""
-        scheduler = FleetScheduler(store=ResultStore(tmp_path),
-                                   batch_window=0.05)
+        scheduler = FleetScheduler(store=ResultStore(tmp_path))
         shared = probe_fleet("a", [31])
         other = probe_fleet("b", [31, 32])
 
@@ -466,9 +353,9 @@ class TestFleetScheduler:
         assert calls == [1, 1]
 
     def test_direct_measure_does_not_wait_out_the_window(self):
-        """With no fleet preparing there is nothing to wait for: the
-        batch window caps a linger, it is not a sleep."""
-        scheduler = FleetScheduler(batch_window=3600)
+        """A direct measure drains after one event-loop yield: the
+        batcher never sleeps before running a batch."""
+        scheduler = FleetScheduler()
         scheduler.farm = InstantFarm()
         spec = FleetRequest.from_spec(probe_fleet("direct", [51])).jobs[0]
 
@@ -482,44 +369,43 @@ class TestFleetScheduler:
         (result,) = asyncio.run(go())
         assert result.ok
 
-    def test_batch_waits_for_a_fleet_still_preparing(self):
-        """A fleet still compiling when another fleet's jobs are queued
-        holds the drain (up to the window), so both share one batch."""
-        scheduler = FleetScheduler(batch_window=1.0)
+    def test_fleets_served_together_share_one_batch(self):
+        """Fleets whose jobs queue in the same event-loop tick share one
+        drain, so one serve() of several fleets is one farm batch."""
+        scheduler = FleetScheduler()
         scheduler.farm = InstantFarm()
-        slow_source = "int main() { return 1; }\n"
-        quick = FleetRequest.from_spec(probe_fleet("quick", [61]))
-        slow = FleetRequest.from_spec(
-            probe_fleet("slow", [62], source=slow_source))
-
-        async def go():
-            loop = asyncio.get_running_loop()
-            release = asyncio.Event()
-
-            async def prepare(source, name, config):
-                if source == slow_source:
-                    await release.wait()
-                else:   # quick queues its jobs right after this
-                    loop.call_later(0.1, release.set)
-
-            scheduler.async_session.prepare = prepare
-            try:
-                return await asyncio.wait_for(asyncio.gather(
-                    scheduler.deploy_fleet(quick),
-                    scheduler.deploy_fleet(slow)), 30)
-            finally:
-                await scheduler.aclose()
-
-        for report in asyncio.run(go()):
-            report.require_ok()
+        report = scheduler.run([
+            FleetRequest.from_spec(probe_fleet("quick", [61])),
+            FleetRequest.from_spec(probe_fleet(
+                "other", [62], source="int main() { return 1; }\n")),
+        ])
+        report.require_ok()
         assert len(scheduler.batch_reports) == 1
         assert len(scheduler.batch_reports[0].results) == 2
+
+    def test_program_that_does_not_compile_fails_only_its_job(
+            self, tmp_path):
+        """A fleet whose program does not parse fails its own job in
+        the farm; the other fleet is served and stored."""
+        store = ResultStore(tmp_path)
+        report = FleetScheduler(store=store).run(load_fleet_specs(
+            {"fleets": [
+                probe_fleet("good", [71]),
+                probe_fleet("broken", [71],
+                            source="int main() { return 0 }\n"),
+            ]}))
+        good, broken = report.fleets
+        assert good.ok and not broken.ok
+        [failure] = broken.failures
+        assert "ParseError" in failure.error
+        assert len(good.records) == 1
+        assert len(store) == 1
+        assert good.results[0].spec.key() in store
 
     def test_force_is_isolated_per_request(self, tmp_path):
         """A forced request re-measures without attaching to un-forced
         work — and without dragging un-forced jobs into the re-measure."""
-        scheduler = FleetScheduler(store=ResultStore(tmp_path),
-                                   batch_window=0.05)
+        scheduler = FleetScheduler(store=ResultStore(tmp_path))
         request = FleetRequest.from_spec(probe_fleet("shared", [21]))
         spec = request.jobs[0]
         # cold: the key lands in the store
@@ -563,9 +449,8 @@ class TestFleetScheduler:
                 < order.index(("scheduler.fleet", name))
         assert recorder.stages("scheduler.batch")
         assert recorder.stages("scheduler.serve")
-        # one hook observes the whole stack: farm + session stages too
+        # one hook observes the whole stack: farm stages too
         assert recorder.stages("farm.job")
-        assert recorder.stages("compile")
 
     def test_warm_rerun_reuses_the_scheduler(self, tmp_path):
         """The same scheduler instance serves sequential asyncio.run
@@ -581,20 +466,33 @@ class TestFleetScheduler:
         assert warm.executed == 0
         assert warm.store_hits == 2
 
-    def test_fully_warm_serve_compiles_nothing(self, tmp_path):
+    def test_fully_warm_serve_compiles_nothing(self, tmp_path,
+                                               compiles):
         """Warm resume costs ~nothing: with every job already stored,
         a fresh scheduler neither simulates nor compiles."""
         requests = load_fleet_specs(
             {"fleets": [probe_fleet("a", [1, 2])]})
         FleetScheduler(store=ResultStore(tmp_path)) \
             .run(requests).require_ok()
+        assert len(compiles) == 2
+        compiles.clear()
         warm = FleetScheduler(store=ResultStore(tmp_path)).run(requests)
         warm.require_ok()
         assert warm.executed == 0
-        assert warm.cache_stats.compiles == 0
-        # forcing re-measures — and therefore warms artifacts again
+        assert compiles == []
+        # forcing re-measures, and each re-measured job compiles once
         forced = FleetScheduler(store=ResultStore(tmp_path)) \
             .run(requests, force=True)
         forced.require_ok()
         assert forced.executed == 2
-        assert forced.cache_stats.compiles == 1
+        assert len(compiles) == 2
+
+    def test_parallel_serve_compiles_nothing_in_this_process(
+            self, tmp_path, compiles):
+        """With worker processes every compile happens in a worker: the
+        serving process compiles nothing at all."""
+        report = FleetScheduler(store=ResultStore(tmp_path), jobs=2).run(
+            load_fleet_specs({"fleets": [probe_fleet("a", [1, 2])]}))
+        report.require_ok()
+        assert report.executed == 2
+        assert compiles == []

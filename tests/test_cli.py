@@ -77,13 +77,6 @@ class TestFleetCommand:
         out = capsys.readouterr().out
         assert "2/2 devices ok" in out
 
-    def test_fleet_async_path(self, source_file, capsys):
-        assert main(["fleet", source_file, "--devices", "3",
-                     "--async"]) == 0
-        out = capsys.readouterr().out
-        assert "3/3 devices ok" in out
-        assert "compiles     : 1" in out
-
 
 class TestServeCommand:
     FLEETS = {"fleets": [
@@ -137,13 +130,16 @@ class TestServeCommand:
                                                        capsys):
         path = tmp_path / "fleets.json"
         # "starved" compiles but blows its simulator budget at run
-        # time, so the failure surfaces as a per-job result
+        # time, and "noparse" does not compile: both failures surface
+        # as per-job results, and the good fleet is still served
         path.write_text(json.dumps({"fleets": [
             {"name": "good", "programs": [{"name": "probe",
                                            "source": SOURCE}]},
             {"name": "bad", "programs": [{"name": "starved",
                                           "source": SOURCE}],
              "max_instructions": 5},
+            {"name": "broken", "programs": [
+                {"name": "noparse", "source": "int main() { return 0 }"}]},
         ]}))
         assert main(["serve", "--fleets", str(path), "--no-store",
                      "--quiet"]) == 1
@@ -151,6 +147,9 @@ class TestServeCommand:
         # the summary names each failed job so the operator does not
         # have to re-run with telemetry on
         assert "FAILED bad/starved:" in out
+        [broken] = [line for line in out.splitlines()
+                    if "FAILED broken/noparse:" in line]
+        assert "ParseError" in broken
         assert "FAILED good" not in out
 
 
