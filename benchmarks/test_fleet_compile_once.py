@@ -70,8 +70,7 @@ def test_fleet_amortizes_compilation(record):
     session = DeploymentSession()
     fresh = [Device(device_seed=0x7000 + i) for i in range(FLEET_SIZE)]
     start = time.perf_counter()
-    report = session.deploy_fleet(SOURCE, fresh, max_workers=1,
-                                  name="firmware")
+    report = session.deploy_fleet(SOURCE, fresh, name="firmware")
     fleet_s = time.perf_counter() - start
 
     rows = [(f"{FLEET_SIZE}x one-shot deploy()", sequential_s),

@@ -5,8 +5,9 @@ ERIC's practicality claim is that device-keyed encryption is cheap
 enough to run at deployment scale.  ``DeploymentSession.deploy_fleet``
 makes that concrete: the program is compiled and signed exactly once
 (the device-independent artifact), then encrypted under each target's
-PUF-based key and pushed out by a worker pool.  A device that fails
-validation is reported, not fatal — the rest of the fleet still ships.
+PUF-based key and shipped to it, one device after another.  A device
+that fails validation is reported, not fatal — the rest of the fleet
+still ships.
 
 The registry's *device groups* remain available for the paper's
 single-package variant (one group key + per-device helper data); this
@@ -39,7 +40,7 @@ def main() -> None:
     impostor.device_id = fleet[0].device_id
 
     report = session.deploy_fleet(SOURCE, fleet + [impostor],
-                                  max_workers=4, name="firmware")
+                                  name="firmware")
     print(report.summary())
     print()
 

@@ -20,7 +20,7 @@ Quickstart — a fleet (compile once, encrypt per device)::
 
     session = DeploymentSession()
     fleet = [Device(device_seed=s) for s in range(100, 110)]
-    report = session.deploy_fleet(SOURCE, fleet, max_workers=8)
+    report = session.deploy_fleet(SOURCE, fleet)
     print(report.summary())          # per-device outcomes + stage costs
     print(session.cache_stats)       # proves the single compile
 

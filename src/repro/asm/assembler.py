@@ -98,7 +98,10 @@ class Assembler:
         # "\n" alone ends a line: str.splitlines() would also break at
         # \x0b, \x0c, \x1c-\x1e and \x85, which a string may hold raw
         for line_no, raw_line in enumerate(source.split("\n"), start=1):
-            self._line(raw_line, line_no)
+            try:
+                self._line(raw_line, line_no)
+            except EncodingError as exc:
+                raise AssemblerError(f"line {line_no}: {exc}") from None
 
         data_base = _align_up(self.text_base + len(self._text), 8)
         for label, section, offset, line_no in self._label_sites:
@@ -291,10 +294,7 @@ class Assembler:
                 values.append(parse_register(token))
             else:
                 values.append(self._number(token, line_no))
-        try:
-            return expand_pseudo(mnemonic, values)
-        except EncodingError as exc:
-            raise AssemblerError(f"line {line_no}: {exc}") from None
+        return expand_pseudo(mnemonic, values)
 
     def _parse_instruction(self, mnemonic: str, operands: list[str],
                            line_no: int) -> Instruction:
@@ -302,53 +302,50 @@ class Assembler:
             raise AssemblerError(
                 f"line {line_no}: unknown instruction {mnemonic!r}")
         fmt = INSTRUCTION_SPECS[mnemonic][0]
-        try:
-            if mnemonic in ("ecall", "ebreak", "fence"):
-                _expect(operands, 0, mnemonic, line_no)
-                return Instruction(mnemonic)
-            if mnemonic in LOADS:
-                _expect(operands, 2, mnemonic, line_no)
-                imm, base = self._memory(operands[1], line_no)
-                return Instruction(mnemonic, rd=parse_register(operands[0]),
-                                   rs1=base, imm=imm)
-            if mnemonic in STORES:
-                _expect(operands, 2, mnemonic, line_no)
-                imm, base = self._memory(operands[1], line_no)
-                return Instruction(mnemonic, rs2=parse_register(operands[0]),
-                                   rs1=base, imm=imm)
-            if mnemonic == "jalr":
-                if len(operands) == 1:
-                    return Instruction("jalr", rd=1,
-                                       rs1=parse_register(operands[0]), imm=0)
-                _expect(operands, 3, mnemonic, line_no)
-                return Instruction("jalr", rd=parse_register(operands[0]),
-                                   rs1=parse_register(operands[1]),
-                                   imm=self._number(operands[2], line_no))
-            if fmt == "R":
-                _expect(operands, 3, mnemonic, line_no)
-                return Instruction(mnemonic,
-                                   rd=parse_register(operands[0]),
-                                   rs1=parse_register(operands[1]),
-                                   rs2=parse_register(operands[2]))
-            if fmt in ("I", "SHIFT64", "SHIFT32"):
-                _expect(operands, 3, mnemonic, line_no)
-                return Instruction(mnemonic,
-                                   rd=parse_register(operands[0]),
-                                   rs1=parse_register(operands[1]),
-                                   imm=self._number(operands[2], line_no))
-            if fmt == "B":
-                _expect(operands, 3, mnemonic, line_no)
-                return Instruction(mnemonic,
-                                   rs1=parse_register(operands[0]),
-                                   rs2=parse_register(operands[1]),
-                                   imm=self._number(operands[2], line_no))
-            if fmt in ("U", "J"):
-                _expect(operands, 2, mnemonic, line_no)
-                return Instruction(mnemonic,
-                                   rd=parse_register(operands[0]),
-                                   imm=self._number(operands[1], line_no))
-        except EncodingError as exc:
-            raise AssemblerError(f"line {line_no}: {exc}") from None
+        if mnemonic in ("ecall", "ebreak", "fence"):
+            _expect(operands, 0, mnemonic, line_no)
+            return Instruction(mnemonic)
+        if mnemonic in LOADS:
+            _expect(operands, 2, mnemonic, line_no)
+            imm, base = self._memory(operands[1], line_no)
+            return Instruction(mnemonic, rd=parse_register(operands[0]),
+                               rs1=base, imm=imm)
+        if mnemonic in STORES:
+            _expect(operands, 2, mnemonic, line_no)
+            imm, base = self._memory(operands[1], line_no)
+            return Instruction(mnemonic, rs2=parse_register(operands[0]),
+                               rs1=base, imm=imm)
+        if mnemonic == "jalr":
+            if len(operands) == 1:
+                return Instruction("jalr", rd=1,
+                                   rs1=parse_register(operands[0]), imm=0)
+            _expect(operands, 3, mnemonic, line_no)
+            return Instruction("jalr", rd=parse_register(operands[0]),
+                               rs1=parse_register(operands[1]),
+                               imm=self._number(operands[2], line_no))
+        if fmt == "R":
+            _expect(operands, 3, mnemonic, line_no)
+            return Instruction(mnemonic,
+                               rd=parse_register(operands[0]),
+                               rs1=parse_register(operands[1]),
+                               rs2=parse_register(operands[2]))
+        if fmt in ("I", "SHIFT64", "SHIFT32"):
+            _expect(operands, 3, mnemonic, line_no)
+            return Instruction(mnemonic,
+                               rd=parse_register(operands[0]),
+                               rs1=parse_register(operands[1]),
+                               imm=self._number(operands[2], line_no))
+        if fmt == "B":
+            _expect(operands, 3, mnemonic, line_no)
+            return Instruction(mnemonic,
+                               rs1=parse_register(operands[0]),
+                               rs2=parse_register(operands[1]),
+                               imm=self._number(operands[2], line_no))
+        if fmt in ("U", "J"):
+            _expect(operands, 2, mnemonic, line_no)
+            return Instruction(mnemonic,
+                               rd=parse_register(operands[0]),
+                               imm=self._number(operands[1], line_no))
         raise AssemblerError(f"line {line_no}: cannot parse {mnemonic}")
 
     def _emit(self, instr: Instruction) -> None:
@@ -367,8 +364,12 @@ class Assembler:
     def _apply_fixups(self) -> None:
         for fixup in self._fixups:
             pc = self.text_base + fixup.offset
-            words = self._resolve_fixup(fixup, pc)
-            blob = b"".join(encode(w).to_bytes(4, "little") for w in words)
+            try:
+                blob = b"".join(encode(w).to_bytes(4, "little")
+                                for w in self._resolve_fixup(fixup, pc))
+            except EncodingError as exc:
+                raise AssemblerError(
+                    f"line {fixup.line_no}: {exc}") from None
             if len(blob) != fixup.size:
                 raise AssemblerError(
                     f"line {fixup.line_no}: fixup size mismatch")
@@ -378,26 +379,27 @@ class Assembler:
         line_no = fixup.line_no
         name = fixup.mnemonic
         ops = fixup.operands
-        try:
-            if fixup.kind == "la":
-                _expect(ops, 2, name, line_no)
-                rd = parse_register(ops[0])
-                address = self._symbol_value(ops[1], line_no)
-                hi = (address + 0x800) >> 12
-                lo = address - (hi << 12)
-                return [Instruction("lui", rd=rd, imm=hi & 0xFFFFF),
-                        Instruction("addiw", rd=rd, rs1=rd, imm=lo)]
-            if fixup.kind == "jump":
-                rd = 1 if len(ops) == 1 else parse_register(ops[0])
-                target = self._symbol_value(ops[-1], line_no)
-                return [Instruction("jal", rd=rd, imm=target - pc)]
-            if fixup.kind == "branch":
-                return self._resolve_branch(name, ops, pc, line_no)
-            if fixup.kind == "instr":
-                resolved = [self._resolve_hi_lo(op, line_no) for op in ops]
-                return [self._parse_instruction(name, resolved, line_no)]
-        except EncodingError as exc:
-            raise AssemblerError(f"line {line_no}: {exc}") from None
+        if fixup.kind == "la":
+            _expect(ops, 2, name, line_no)
+            rd = parse_register(ops[0])
+            address = self._symbol_value(ops[1], line_no)
+            hi = (address + 0x800) >> 12
+            lo = address - (hi << 12)
+            return [Instruction("lui", rd=rd, imm=hi & 0xFFFFF),
+                    Instruction("addiw", rd=rd, rs1=rd, imm=lo)]
+        if fixup.kind == "jump":
+            if len(ops) > 2:
+                raise AssemblerError(
+                    f"line {line_no}: jal expects 1 or 2 operands, "
+                    f"got {len(ops)}")
+            rd = 1 if len(ops) == 1 else parse_register(ops[0])
+            target = self._symbol_value(ops[-1], line_no)
+            return [Instruction("jal", rd=rd, imm=target - pc)]
+        if fixup.kind == "branch":
+            return self._resolve_branch(name, ops, pc, line_no)
+        if fixup.kind == "instr":
+            resolved = [self._resolve_hi_lo(op, line_no) for op in ops]
+            return [self._parse_instruction(name, resolved, line_no)]
         raise AssemblerError(f"line {line_no}: unhandled fixup {fixup.kind}")
 
     def _resolve_branch(self, name: str, ops: list[str], pc: int,
@@ -417,8 +419,6 @@ class Assembler:
             return [Instruction("jal", rd=0, imm=offset)]
         if name == "call":
             _expect(ops, 1, name, line_no)
-            return [Instruction("jal", rd=1, imm=offset)]
-        if name == "jal":  # one-operand pseudo form
             return [Instruction("jal", rd=1, imm=offset)]
         zero_compares = {"beqz": ("beq", False), "bnez": ("bne", False),
                          "bltz": ("blt", False), "bgez": ("bge", False),

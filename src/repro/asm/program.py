@@ -65,11 +65,6 @@ class Program:
         """Number of 16-bit slots (drives the RVC map-overhead effect)."""
         return sum(1 for slot in self.layout if slot.size == 2)
 
-    def image_bytes(self) -> bytes:
-        """text || data — the bytes the signature is computed over,
-        together with the entry point (see core.signature)."""
-        return self.text + self.data
-
     def serialize_plain(self) -> bytes:
         """Unencrypted wire form — the Fig. 5 size baseline.
 

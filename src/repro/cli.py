@@ -102,13 +102,13 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     with open(args.source, "r", encoding="utf-8") as handle:
         source = handle.read()
     seeds = _fleet_seeds(args)
-    # empty fleet / bad max_workers raise EricError in deploy_fleet,
-    # which main() renders as a clean "eric: error:" line
+    # an empty fleet raises EricError in deploy_fleet, which main()
+    # renders as a clean "eric: error:" line
     session = DeploymentSession(_load_config(args.config))
     devices = [Device(device_seed=seed) for seed in seeds]
     report = session.deploy_fleet(
-        source, devices, max_workers=args.max_workers,
-        name=args.source, max_instructions=args.max_instructions)
+        source, devices, name=args.source,
+        max_instructions=args.max_instructions)
     print(report.summary())
     stats = session.cache_stats
     print(f"  compiles     : {stats.compiles} "
@@ -531,7 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--device-seeds",
                    help="explicit comma-separated seed list (overrides "
                         "--devices/--seed-base)")
-    p.add_argument("--max-workers", type=int, default=4)
     p.add_argument("--max-instructions", type=int, default=20_000_000)
     p.set_defaults(func=_cmd_fleet)
 

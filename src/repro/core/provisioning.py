@@ -18,7 +18,6 @@ infrastructure, made concrete:
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 from repro.core.device import Device
@@ -45,15 +44,13 @@ class DeviceRegistry:
         self._keys: dict[str, bytes] = {}
         self._vendor_secret = vendor_secret
         self._group_counter = 0
-        self._lock = threading.Lock()
 
     def enroll(self, device: Device) -> str:
         """Record a device's PUF-based key; returns its id."""
-        with self._lock:
-            if device.device_id in self._keys:
-                raise ProvisioningError(
-                    f"device {device.device_id} already enrolled")
-            self._keys[device.device_id] = device.enrollment_key()
+        if device.device_id in self._keys:
+            raise ProvisioningError(
+                f"device {device.device_id} already enrolled")
+        self._keys[device.device_id] = device.enrollment_key()
         return device.device_id
 
     def ensure_enrolled(self, device: Device) -> bytes:
@@ -62,12 +59,11 @@ class DeviceRegistry:
         Enrolls the device if the registry has never seen it, then
         returns its PUF-based key — what every deployment entry point
         (library, session, CLI) uses so they all exercise the same
-        enrollment path.  Safe to call concurrently from fleet workers.
+        enrollment path.
         """
-        with self._lock:
-            if device.device_id not in self._keys:
-                self._keys[device.device_id] = device.enrollment_key()
-            return self._keys[device.device_id]
+        if device.device_id not in self._keys:
+            self._keys[device.device_id] = device.enrollment_key()
+        return self._keys[device.device_id]
 
     def handshake(self, device_id: str) -> bytes:
         """What a software source receives for a target device."""

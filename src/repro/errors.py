@@ -31,11 +31,6 @@ class KeyMismatchError(ValidationError):
     the device's PUF-based key does not match the packaging key."""
 
 
-class TamperDetectedError(ValidationError):
-    """The decrypted image validates against neither the carried signature
-    nor a clean decode — the package bytes were modified in transit."""
-
-
 class AssemblerError(EricError):
     """The assembler rejected an assembly source."""
 

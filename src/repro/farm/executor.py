@@ -324,11 +324,6 @@ class FarmReport:
         return sum(r.eric_cycles for r in self.records
                    if r.eric_cycles is not None)
 
-    @property
-    def measured_wall_s(self) -> float:
-        """Simulation time this run paid (store hits cost ~nothing)."""
-        return sum(r.wall_s for r in self.results if not r.from_store)
-
     # -- interpreter profiling (aggregated over simulated records) --------
 
     @property

@@ -72,10 +72,6 @@ class Primitives:
     def comparator(self, bits: int) -> AreaEstimate:
         return AreaEstimate(self._luts(bits / 3), 0)
 
-    def rotator_fixed(self, bits: int) -> AreaEstimate:
-        """Fixed rotation is wiring — free."""
-        return AreaEstimate(0, 0)
-
     def counter(self, bits: int) -> AreaEstimate:
         return AreaEstimate(self._luts(bits), bits)
 

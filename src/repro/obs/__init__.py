@@ -17,8 +17,8 @@ Three cooperating layers:
 
 * :mod:`repro.obs.metrics` — a process-wide :class:`MetricsRegistry`
   (counters, gauges, histograms with p50/p95/p99) fed by the existing
-  emit sites: cache hits/misses, single-flight coalesces, admission
-  defer/reject, store hits vs simulations, journal states.  ``eric
+  emit sites: scheduler coalesces, admission defer/reject, store hits
+  vs simulations, journal states.  ``eric
   metrics DIR`` renders a Prometheus-style text snapshot; the daemon
   poll loop dumps one periodically.
 

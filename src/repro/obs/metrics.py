@@ -1,8 +1,8 @@
 """Process-wide metrics: counters, gauges, quantile histograms.
 
 One :data:`METRICS` registry per process, fed directly by the stack's
-hot paths (the artifact cache, the single-flight coalescer, the farm's
-result-collection loop, daemon admission) — instrumentation must never
+hot paths (the scheduler's coalescer, the farm's result-collection
+loop, daemon admission) — instrumentation must never
 add a lock-ordering or failure dependency, so every operation is a
 single short critical section and never raises on bad input.
 

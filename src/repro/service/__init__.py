@@ -3,8 +3,8 @@
 * :mod:`repro.service.session`   — :class:`DeploymentSession`: registry +
   compiler + artifact cache + a tracer for its stage events behind
   ``deploy``, ``deploy_fleet`` and ``package_for``
-* :mod:`repro.service.cache`     — thread-safe LRU of device-independent
-  compiled artifacts with hit/miss statistics
+* :mod:`repro.service.cache`     — LRU of device-independent compiled
+  artifacts with hit/miss statistics
 * :mod:`repro.service.scheduler` — the asyncio service layer:
   :class:`FleetScheduler` multiplexes many concurrent fleets over one
   farm/store pair, measuring each unique job once

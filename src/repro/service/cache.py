@@ -2,8 +2,8 @@
 
 A :class:`CompiledArtifact` is a pure function of ``(source, config)``
 (see :mod:`repro.core.compiler_driver`), so a deployment session can keep
-it and bind it to any number of device keys.  The cache is a small
-thread-safe LRU keyed by ``(source digest, program name, config)`` —
+it and bind it to any number of device keys.  The cache is a small LRU
+keyed by ``(source digest, program name, config)`` —
 :class:`repro.core.config.EricConfig` is a frozen dataclass, hence
 hashable as-is — with hit/miss counters so tests and reports can prove
 that an N-device rollout compiled exactly once.
@@ -11,13 +11,11 @@ that an N-device rollout compiled exactly once.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.core.compiler_driver import CompiledArtifact
 from repro.core.config import EricConfig
-from repro.obs.metrics import METRICS
 
 
 @dataclass(frozen=True)
@@ -35,97 +33,47 @@ class CacheStats:
         """Times the MiniC compiler actually ran (one per miss)."""
         return self.misses
 
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
 
 class ArtifactCache:
-    """Thread-safe LRU of device-independent compiled artifacts."""
+    """LRU of device-independent compiled artifacts."""
 
-    def __init__(self, max_entries: int | None = 64) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be at least 1 (or None)")
+    def __init__(self, max_entries: int = 64) -> None:
+        if max_entries < 1:
+            raise ValueError("max_entries must be at least 1")
         self.max_entries = max_entries
         self._entries: OrderedDict[tuple, CompiledArtifact] = OrderedDict()
-        self._lock = threading.Lock()
-        self._building: dict[tuple, threading.Lock] = {}
         self._lookups = 0
         self._hits = 0
         self._misses = 0
         self._evictions = 0
 
-    @staticmethod
-    def key(source_digest: str, name: str, config: EricConfig) -> tuple:
-        return (source_digest, name, config)
-
     def get_or_build(self, source_digest: str, name: str,
                      config: EricConfig, build) -> CompiledArtifact:
         """Return the cached artifact or build (and remember) it.
 
-        ``build`` runs under a per-key lock, not the cache-wide one:
-        concurrent workers asking for the same program trigger exactly
-        one compile, while lookups (and builds of other programs)
-        proceed unblocked — and ``build`` may safely re-enter cache
-        methods such as :attr:`stats`.
+        A ``build`` that raises leaves no entry, so the next call for
+        the same key builds again.
         """
-        key = self.key(source_digest, name, config)
-        with self._lock:
-            self._lookups += 1
-            artifact = self._entries.get(key)
-            if artifact is not None:
-                self._hits += 1
-                METRICS.inc("cache.hits")
-                self._entries.move_to_end(key)
-                return artifact
-            build_lock = self._building.setdefault(key, threading.Lock())
-        while True:
-            with build_lock:
-                with self._lock:
-                    artifact = self._entries.get(key)
-                    if artifact is not None:
-                        # someone built it while we waited on the lock
-                        self._hits += 1
-                        METRICS.inc("cache.hits")
-                        self._entries.move_to_end(key)
-                        return artifact
-                    # a failed build retires its lock from _building;
-                    # only the holder of the *live* lock may build, so a
-                    # waiter holding a retired lock re-registers (or
-                    # defers to whichever lock took its place)
-                    current = self._building.setdefault(key, build_lock)
-                if current is build_lock:
-                    try:
-                        artifact = build()
-                    except BaseException:
-                        with self._lock:
-                            self._building.pop(key, None)
-                        raise
-                    with self._lock:
-                        self._misses += 1
-                        METRICS.inc("cache.misses")
-                        self._entries[key] = artifact
-                        if (self.max_entries is not None
-                                and len(self._entries) > self.max_entries):
-                            self._entries.popitem(last=False)
-                            self._evictions += 1
-                            METRICS.inc("cache.evictions")
-                        self._building.pop(key, None)
-                    return artifact
-            # lost ownership while waiting: retry under the live lock
-            build_lock = current
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
+        key = (source_digest, name, config)
+        self._lookups += 1
+        artifact = self._entries.get(key)
+        if artifact is not None:
+            self._hits += 1
+            self._entries.move_to_end(key)
+            return artifact
+        artifact = build()
+        self._misses += 1
+        self._entries[key] = artifact
+        if len(self._entries) > self.max_entries:
+            self._entries.popitem(last=False)
+            self._evictions += 1
+        return artifact
 
     def __len__(self) -> int:
         return len(self._entries)
 
     @property
     def stats(self) -> CacheStats:
-        with self._lock:
-            return CacheStats(lookups=self._lookups, hits=self._hits,
-                              misses=self._misses,
-                              evictions=self._evictions,
-                              entries=len(self._entries))
+        return CacheStats(lookups=self._lookups, hits=self._hits,
+                          misses=self._misses, evictions=self._evictions,
+                          entries=len(self._entries))

@@ -222,10 +222,6 @@ class ServeDaemon:
                 live[record.tenant] = live.get(record.tenant, 0) + 1
         return live
 
-    def _note_pending(self) -> None:
-        self.peak_pending_jobs = max(self.peak_pending_jobs,
-                                     self._pending_jobs())
-
     def _dump_metrics(self) -> None:
         """Gauge the journal's state distribution and persist the
         process-wide registry next to it (``<journal>/metrics.json``,

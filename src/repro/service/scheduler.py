@@ -37,6 +37,7 @@ from repro.farm.spec import JobMatrix, JobSpec
 from repro.farm.store import ResultStore
 from repro.obs.metrics import METRICS
 from repro.obs.trace import TraceContext, Tracer
+from repro.statics.fingerprint import model_fingerprint
 
 
 @dataclass(frozen=True)
@@ -284,6 +285,9 @@ class FleetScheduler:
         self._pending: list[tuple[tuple[str, bool], JobSpec,
                                   TraceContext | None]] = []
         self._inflight: dict[tuple[str, bool], asyncio.Future] = {}
+        # every job key embeds the model fingerprint: compute it now,
+        # not inside whichever fleet asks for a key first
+        model_fingerprint()
 
     # -- the shared batch queue -------------------------------------------
 

@@ -10,7 +10,7 @@ compile+sign and N encrypt+package+run stages — the paper's
 "efficient and practical at deployment scale" claim as an API.
 
     session = DeploymentSession()
-    report = session.deploy_fleet(SOURCE, devices, max_workers=8)
+    report = session.deploy_fleet(SOURCE, devices)
     print(report.summary())
 
 Per-device failures inside :meth:`DeploymentSession.deploy_fleet` are
@@ -27,8 +27,7 @@ Every pipeline stage (``compile``, ``cache.hit``, ``package``,
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.core.compiler_driver import (CompiledArtifact, EricCompiler,
@@ -38,13 +37,13 @@ from repro.core.config import EricConfig
 from repro.core.device import Device
 from repro.core.provisioning import DeviceRegistry
 from repro.core.workflow import DeploymentResult
-from repro.errors import ConfigError, EricError, ProvisioningError
+from repro.errors import EricError, ProvisioningError
 from repro.net.channel import UntrustedChannel
 from repro.obs.trace import Tracer
 from repro.service.cache import ArtifactCache, CacheStats
 
-#: Builds one transfer channel per deployment (kept per-device in fleet
-#: fan-out so interceptor state is never shared across worker threads).
+#: Builds one transfer channel per deployment, so interceptor state is
+#: never shared across devices.
 ChannelFactory = Callable[[], UntrustedChannel]
 
 
@@ -83,7 +82,6 @@ class FleetDeploymentReport:
     encryption_s: float
     packaging_s: float
     cache_hit: bool
-    cache_stats: CacheStats = field(default_factory=CacheStats)
 
     @property
     def succeeded(self) -> tuple[FleetDeviceOutcome, ...]:
@@ -130,27 +128,28 @@ class FleetDeploymentReport:
 class DeploymentSession:
     """A long-lived software source deploying to many devices.
 
+    A session is used from one thread: :meth:`deploy_fleet` deploys its
+    devices one after another, in order, on the calling thread.
+
     Args:
         config: packaging configuration shared by every deployment.
         registry: enrollment database; a fresh one if not given.
         channel_factory: builds the untrusted transfer channel used per
             deployment (default: a clean :class:`UntrustedChannel`).
-        cache_size: maximum cached artifacts (None = unbounded).
-        tracer: the :class:`~repro.obs.trace.Tracer` the stage events
-            go to; a fresh memory-only one if not given.
+
+    Stage events go to :attr:`tracer`, a fresh memory-only
+    :class:`~repro.obs.trace.Tracer`.
     """
 
     def __init__(self, config: EricConfig | None = None, *,
                  registry: DeviceRegistry | None = None,
-                 channel_factory: ChannelFactory | None = None,
-                 cache_size: int | None = 64,
-                 tracer: Tracer | None = None) -> None:
+                 channel_factory: ChannelFactory | None = None) -> None:
         self.config = (config or EricConfig()).validate()
         self.registry = registry or DeviceRegistry()
         self.compiler = EricCompiler(self.config)
         self.channel_factory = channel_factory or UntrustedChannel
-        self.cache = ArtifactCache(max_entries=cache_size)
-        self.tracer = tracer if tracer is not None else Tracer()
+        self.cache = ArtifactCache()
+        self.tracer = Tracer()
 
     @property
     def cache_stats(self) -> CacheStats:
@@ -166,7 +165,7 @@ class DeploymentSession:
     def _prepare(self, source: str, name: str,
                  ) -> tuple[CompiledArtifact, bool]:
         """As :meth:`prepare`, also reporting whether this call compiled
-        (False = served from cache), race-free under concurrent use."""
+        (False = served from cache)."""
         digest = source_digest(source)
         built: list[float] = []
 
@@ -246,34 +245,32 @@ class DeploymentSession:
                                 delivered_bytes=delivered,
                                 run_result=run_result)
 
-    # -- fleet fan-out ----------------------------------------------------
+    # -- fleet rollout ----------------------------------------------------
 
     def deploy_fleet(self, source: str, devices: Sequence[Device], *,
-                     max_workers: int = 4, name: str = "program",
+                     name: str = "program",
                      max_instructions: int = 20_000_000,
                      ) -> FleetDeploymentReport:
         """Push one program to many devices, compiling exactly once.
 
-        Enrollment and handshake happen up front (serially — the
-        registry is the trusted vendor database); encrypt/transfer/run
-        fan out over a thread pool.  A device failing validation records
-        an error in its outcome instead of aborting the fleet.
+        Enrollment and handshake happen up front (the registry is the
+        trusted vendor database); then each device in turn is
+        encrypted for, shipped to and run.  A device failing validation
+        records an error in its outcome instead of aborting the fleet.
         """
         if not devices:
             raise ProvisioningError("deploy_fleet needs at least one device")
-        if max_workers < 1:
-            raise ConfigError("max_workers must be at least 1")
         fleet_start = time.perf_counter()
 
         artifact, compiled = self._prepare(source, name)
         keys = [self.registry.ensure_enrolled(device) for device in devices]
 
-        def deploy_one(device: Device,
-                       target_key: bytes) -> FleetDeviceOutcome:
-            """Package/ship/run on one device, never raising: failures
-            land in the outcome."""
+        outcomes = []
+        for device, target_key in zip(devices, keys):
+            # package/ship/run, never raising: failures land in the
+            # device's outcome
             start = time.perf_counter()
-            packaged = None
+            packaged = result = error = None
             try:
                 packaged = self._package_stage(artifact, device.device_id,
                                                target_key)
@@ -282,22 +279,11 @@ class DeploymentSession:
                                             artifact.name,
                                             max_instructions)
             except EricError as exc:
-                return FleetDeviceOutcome(
-                    device_id=device.device_id, result=None, error=exc,
-                    wall_s=time.perf_counter() - start,
-                    timings=packaged.timings if packaged else None)
-            return FleetDeviceOutcome(
-                device_id=device.device_id, result=result, error=None,
+                error = exc
+            outcomes.append(FleetDeviceOutcome(
+                device_id=device.device_id, result=result, error=error,
                 wall_s=time.perf_counter() - start,
-                timings=packaged.timings)
-
-        workers = min(max_workers, len(devices))
-        if workers == 1:
-            outcomes = [deploy_one(d, k) for d, k in zip(devices, keys)]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(deploy_one, devices, keys))
-
+                timings=packaged.timings if packaged else None))
         wall_s = time.perf_counter() - fleet_start
         # failed devices still paid for encrypt+package, so the "(all
         # devices)" aggregate counts their timings too
@@ -312,7 +298,7 @@ class DeploymentSession:
             signature_s=artifact.signature_s,
             encryption_s=encryption_s,
             packaging_s=sum(t.packaging_s for t in timings),
-            cache_hit=not compiled, cache_stats=self.cache.stats)
+            cache_hit=not compiled)
         self.tracer.event(
             "fleet", wall_s, ok=report.all_ok,
             detail=f"{len(report.succeeded)}/{len(outcomes)} ok",

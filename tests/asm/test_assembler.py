@@ -161,6 +161,31 @@ class TestLabelsAndBranches:
         hi = instrs[0].imm << 12
         assert hi + instrs[1].imm == address
 
+    def test_jal_forms(self):
+        assert assemble("main:\n  jal main\n").text.hex() == "ef000000"
+        assert assemble("main:\n  jal a0, main\n").text.hex() == "6f050000"
+
+    @pytest.mark.parametrize("operands", ["a0, a1, main", "a0, a1, a2, main"])
+    def test_jal_with_extra_operands_rejected(self, operands):
+        # was silently assembled as "jal a0, main"
+        count = operands.count(",") + 1
+        with pytest.raises(AssemblerError,
+                           match=f"line 2: jal expects 1 or 2 operands, "
+                                 f"got {count}"):
+            assemble(f"main:\n  jal {operands}\n")
+
+    @pytest.mark.parametrize("source, line", [
+        ("main:\n  sd t0, 2064(sp)\n", 2),
+        ("main:\n  addi t0, sp, 5000\n", 2),
+        ("main:\n  slli t0, t0, 99\n", 2),
+        ("main:\n  beq a0, a1, far\n" + "  nop\n" * 1100 + "far:\n", 2),
+        ("main:\n  jal a0, 3000000\n", 2),
+    ])
+    def test_unencodable_operand_is_an_assembler_error(self, source, line):
+        # was a raw EncodingError with no line number
+        with pytest.raises(AssemblerError, match=f"^line {line}: "):
+            assemble(source)
+
     def test_duplicate_label_rejected(self):
         with pytest.raises(AssemblerError, match="duplicate"):
             assemble("x:\nx:\n  nop\n")

@@ -12,6 +12,7 @@ from repro.obs.sinks import RecordingTelemetry
 from repro.obs.trace import Tracer
 from repro.service.scheduler import (FleetRequest, FleetScheduler,
                                      load_fleet_specs)
+from repro.statics import fingerprint
 
 PROBE = "int main() { return 0; }\n"
 
@@ -257,6 +258,13 @@ class TestFleetScheduler:
         scheduler = FleetScheduler(store=ResultStore(tmp_path))
         with pytest.raises(ConfigError):
             scheduler.run([])
+
+    def test_construction_computes_the_model_fingerprint(self,
+                                                         monkeypatch):
+        # otherwise the first fleet to ask for a job key pays for it
+        monkeypatch.setattr(fingerprint, "_MEMO", None)
+        FleetScheduler()
+        assert fingerprint._MEMO is not None
 
     def test_sharded_scheduling_requires_a_store(self):
         with pytest.raises(ConfigError):

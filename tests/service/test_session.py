@@ -1,11 +1,13 @@
-"""DeploymentSession: artifact cache, fleet fan-out, wrapper parity."""
+"""DeploymentSession: artifact cache, fleet rollout, wrapper parity."""
+
+import threading
 
 import pytest
 
 from repro.core.config import EncryptionMode, EricConfig
 from repro.core.device import Device
 from repro.core.workflow import deploy
-from repro.errors import ConfigError, ProvisioningError, ValidationError
+from repro.errors import ProvisioningError, ValidationError
 from repro.net.channel import BitFlipper, UntrustedChannel
 from repro.service.cache import ArtifactCache
 from repro.service.session import DeploymentSession
@@ -79,39 +81,9 @@ class TestArtifactCache:
 
         with pytest.raises(RuntimeError):
             cache.get_or_build("d", "p", None, boom)
-        # the failure left no entry and no leaked per-key build lock
+        # the failure left no entry
         assert len(cache) == 0
-        assert not cache._building
         assert cache.get_or_build("d", "p", None, lambda: "ok") == "ok"
-
-    def test_single_flight_concurrent_builds(self):
-        import threading
-        import time as time_mod
-
-        cache = ArtifactCache()
-        calls = []
-
-        def build():
-            calls.append(1)
-            time_mod.sleep(0.05)
-            return "artifact"
-
-        results = []
-        threads = [
-            threading.Thread(target=lambda: results.append(
-                cache.get_or_build("d", "p", None, build)))
-            for _ in range(4)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        # exactly one thread compiled; the rest waited and hit
-        assert len(calls) == 1
-        assert results == ["artifact"] * 4
-        stats = cache.stats
-        assert stats.misses == 1
-        assert stats.hits == 3
 
     def test_deploys_share_artifact(self, session):
         session.deploy(SOURCE, Device(device_seed=0xA1))
@@ -123,7 +95,7 @@ class TestArtifactCache:
 class TestFleetDeployment:
     def test_compile_once_for_ten_devices(self, session):
         devices = [Device(device_seed=0x100 + i) for i in range(10)]
-        report = session.deploy_fleet(SOURCE, devices, max_workers=4)
+        report = session.deploy_fleet(SOURCE, devices)
         assert report.all_ok
         assert report.device_count == 10
         # the acceptance criterion: one MiniC invocation for the fleet
@@ -147,8 +119,7 @@ class TestFleetDeployment:
         # encrypted under good[0]'s key, which its own PUF cannot derive
         impostor = Device(device_seed=0xBAD)
         impostor.device_id = good[0].device_id
-        report = session.deploy_fleet(SOURCE, good + [impostor],
-                                      max_workers=2)
+        report = session.deploy_fleet(SOURCE, good + [impostor])
         assert not report.all_ok
         assert len(report.succeeded) == 3
         assert len(report.failed) == 1
@@ -173,25 +144,30 @@ class TestFleetDeployment:
         assert all(isinstance(e, ValidationError)
                    for e in report.failures.values())
 
-    def test_sequential_matches_parallel(self, session):
+    def test_fleet_matches_single_deploys(self, session):
         devices = [Device(device_seed=0x500 + i) for i in range(4)]
-        report = session.deploy_fleet(SOURCE, devices, max_workers=1)
-        parallel = DeploymentSession().deploy_fleet(
-            SOURCE, [Device(device_seed=0x500 + i) for i in range(4)],
-            max_workers=4)
+        report = session.deploy_fleet(SOURCE, devices)
+        single = DeploymentSession()
         assert [o.result.compile_result.package_bytes
                 for o in report.outcomes] == \
-               [o.result.compile_result.package_bytes
-                for o in parallel.outcomes]
+               [single.deploy(SOURCE, Device(device_seed=0x500 + i))
+                .compile_result.package_bytes for i in range(4)]
+
+    def test_fleet_runs_on_the_calling_thread(self):
+        threads = []
+
+        def channel():
+            threads.append(threading.get_ident())
+            return UntrustedChannel()
+
+        session = DeploymentSession(channel_factory=channel)
+        devices = [Device(device_seed=0x580 + i) for i in range(4)]
+        assert session.deploy_fleet(SOURCE, devices).all_ok
+        assert threads == [threading.get_ident()] * 4
 
     def test_empty_fleet_rejected(self, session):
         with pytest.raises(ProvisioningError):
             session.deploy_fleet(SOURCE, [])
-
-    def test_bad_max_workers_rejected(self, session):
-        with pytest.raises(ConfigError):
-            session.deploy_fleet(SOURCE, [Device(device_seed=1)],
-                                 max_workers=0)
 
     def test_report_timings_and_summary(self, session):
         devices = [Device(device_seed=0x600 + i) for i in range(3)]

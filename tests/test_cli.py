@@ -65,8 +65,7 @@ class TestPackageRunFlow:
 
 class TestFleetCommand:
     def test_fleet_compiles_once(self, source_file, capsys):
-        assert main(["fleet", source_file, "--devices", "3",
-                     "--max-workers", "2"]) == 0
+        assert main(["fleet", source_file, "--devices", "3"]) == 0
         out = capsys.readouterr().out
         assert "3/3 devices ok" in out
         assert "compiles     : 1" in out
