@@ -10,7 +10,9 @@ appends exactly one store line, so the final line count doubling as
 the unique-key count is the zero-re-simulation proof.  A third daemon
 runs without ``--once``; once it is polling, ``eric submit`` appends a
 fleet from another process, the daemon's journal reload must find it
-and serve it, and SIGTERM must end the daemon cleanly.
+and serve it, and SIGTERM must end the daemon cleanly; its final
+``metrics.json`` in the journal directory must count that one request
+admitted and done.
 
 Runs locally too::
 
@@ -29,6 +31,7 @@ import time
 from _bootstrap import ROOT  # noqa: E402 — wires sys.path
 
 from repro.farm import ResultStore  # noqa: E402
+from repro.obs import load_metrics  # noqa: E402
 from repro.service.daemon import JournalStore  # noqa: E402
 
 #: Two fleets sharing one seed: 8 job requests over 7 unique keys.
@@ -195,6 +198,11 @@ def main(argv=None) -> int:
     print(f"live pickup: request {late_id} done, {late} store line(s)")
     # the store gained exactly the late fleet's new keys
     assert late == UNIQUE_JOBS + LATE_NEW_KEYS, late
+    # the live daemon's exit dump counts the one request it served
+    counters = load_metrics(journal_dir)["counters"]
+    print(f"live daemon counters: {counters}")
+    assert counters.get("admission.admitted") == 1, counters
+    assert counters.get("daemon.requests_done") == 1, counters
     print("PASS: daemon SIGTERM/resume smoke")
     return 0
 

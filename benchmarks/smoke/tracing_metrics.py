@@ -1,7 +1,9 @@
 """CI smoke: the observability guarantee — a traced 2x2 sweep leaves a
-complete, connected trace whose critical path ``eric trace`` can walk,
-and a warm rerun's ``eric metrics`` dump reports every job as a store
-hit (``store.hits == total jobs``, zero re-simulation).
+complete, connected trace whose critical path ``eric trace`` can walk
+and an ``eric metrics`` dump that counts every job executed once
+(``farm.executed`` and ``farm.job.wall_s`` both at the total), and a
+warm rerun's dump reports every job as a store hit (``store.hits ==
+total jobs``, zero re-simulation).
 
 Everything goes through the real CLI so flag routing, the trace and
 metrics file locations, and the rendered reports all stay covered.
@@ -26,6 +28,13 @@ SPEC_PATH = ROOT / "examples" / "sweep_spec.json"
 TOTAL_JOBS = 4  # the 2x2 smoke matrix
 
 
+def counter(output: str, name: str) -> int:
+    """One value line of an ``eric metrics`` rendering."""
+    match = re.search(rf"^{name} (\d+)$", output, re.MULTILINE)
+    assert match, f"no {name} in:\n{output}"
+    return int(match.group(1))
+
+
 def run_cli(argv) -> str:
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
@@ -47,6 +56,10 @@ def main(argv=None) -> int:
     output = run_cli(["sweep", str(SPEC_PATH), "--store", store,
                       "--trace", "--metrics", "--quiet"])
     assert f"{TOTAL_JOBS} jobs -> 0 store hits" in output, output
+    output = run_cli(["metrics", store])
+    assert counter(output, "eric_farm_executed") == TOTAL_JOBS, output
+    assert counter(output, "eric_farm_job_wall_s_count") == TOTAL_JOBS, \
+        output
 
     # -- the trace is one connected tree with a complete critical path ----
     spans, skipped = read_trace(store)
@@ -64,9 +77,7 @@ def main(argv=None) -> int:
                       "--trace", "--metrics", "--quiet"])
     assert f"{TOTAL_JOBS} jobs -> {TOTAL_JOBS} store hits" in output, output
     output = run_cli(["metrics", store])
-    match = re.search(r"^eric_store_hits (\d+)$", output, re.MULTILINE)
-    assert match, f"no eric_store_hits counter in:\n{output}"
-    assert int(match.group(1)) == TOTAL_JOBS, output
+    assert counter(output, "eric_store_hits") == TOTAL_JOBS, output
 
     # -- and the doctor agrees -------------------------------------------
     output = run_cli(["doctor", "--store", store, "--trace", store])

@@ -41,7 +41,10 @@ def main() -> None:
     # A tracer rooted at the store directory: the sharded farm opens
     # the root span, writes its context into each shard.json, and
     # merges the workers' trace files back after their stores merge.
-    farm = SimulationFarm(store, shards=2, tracer=Tracer(store.root))
+    # The metrics registry is one more sink on it: it counts each job.
+    tracer = Tracer(store.root)
+    tracer.add_sink(METRICS)
+    farm = SimulationFarm(store, shards=2, tracer=tracer)
     matrix = JobMatrix(programs=(("hello", HELLO),
                                  ("countdown", COUNTDOWN)))
     report = farm.run(matrix)

@@ -8,7 +8,7 @@ times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.asm.assembler import assemble
 from repro.asm.program import Program
@@ -27,9 +27,6 @@ class CompileResult:
     program: Program
     asm_text: str
     name: str
-    #: coarse per-stage wall times in seconds (filled by the ERIC driver's
-    #: measurement wrapper when timing is requested)
-    stage_seconds: dict = field(default_factory=dict)
 
 
 def compile_source(source: str, name: str = "program",

@@ -204,6 +204,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     tracer = Tracer(store.root) if args.trace else None
     farm = SimulationFarm(store=store, jobs=args.jobs, shards=args.shards,
                           shard_root=args.shard_root, tracer=tracer)
+    if args.metrics:
+        farm.tracer.add_sink(METRICS)
     if not args.quiet:
         # a sharded sweep's per-job events stay inside the worker
         # processes; narrate shard completions instead
@@ -296,6 +298,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     scheduler = FleetScheduler(store=store, jobs=args.jobs,
                                shards=args.shards,
                                shard_root=args.shard_root, tracer=tracer)
+    if args.metrics:
+        scheduler.tracer.add_sink(METRICS)
     if not args.quiet:
         scheduler.tracer.add_sink(StagePrinter(stages="scheduler."))
     report = scheduler.run(requests, force=args.force)

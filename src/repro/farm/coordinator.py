@@ -76,7 +76,7 @@ def _run_shard(spec_path: str, store_dir: str, jobs: int,
         store_dir=store_dir,
         executed=report.executed,
         hit_keys=tuple(r.spec.key() for r in report.results
-                       if r.from_store),
+                       if r.kind == "hit"),
         failures=tuple((r.spec.key(), r.error)
                        for r in report.results if not r.ok),
         wall_s=report.wall_s,

@@ -33,7 +33,6 @@ from repro.errors import ConfigError, EricError
 from repro.farm.coordinator import run_shards
 from repro.farm.spec import JobMatrix, JobSpec
 from repro.farm.store import FarmRecord, MergeStats, ResultStore
-from repro.obs.metrics import METRICS
 from repro.obs.trace import TraceContext, Tracer
 from repro.statics.fingerprint import model_fingerprint
 
@@ -209,6 +208,16 @@ def _format_error(exc: BaseException) -> str:
     return f"{head} [at {trail}]"
 
 
+def format_failures(failures, what: str = "job(s)",
+                    limit: int | None = None) -> str:
+    """Every failed-jobs line: ``"N <what> failed: label: error; ..."``
+    over ``(label, error)`` pairs, naming at most ``limit``."""
+    lines = [f"{label}: {error}" for label, error in failures[:limit]]
+    if limit is not None and len(failures) > limit:
+        lines.append(f"... and {len(failures) - limit} more")
+    return f"{len(failures)} {what} failed: " + "; ".join(lines)
+
+
 def _job_span(spec: JobSpec, trace: dict | None):
     """Open a ``farm.job`` span from a cross-process trace payload
     (``{"trace_id", "span_id", "dir"}``): the worker subprocess appends
@@ -273,6 +282,17 @@ class FarmJobResult:
     def ok(self) -> bool:
         return self.error is None
 
+    @property
+    def kind(self) -> str:
+        """What every count reads: ``"hit"`` (from a store),
+        ``"shared"`` (a duplicate's copy of another slot's outcome),
+        ``"failed"`` or ``"executed"``, tested in that order."""
+        if self.from_store:
+            return "hit"
+        if self.shared:
+            return "shared"
+        return "executed" if self.error is None else "failed"
+
 
 @dataclass(frozen=True)
 class FarmReport:
@@ -299,14 +319,13 @@ class FarmReport:
     @property
     def hits(self) -> int:
         """Jobs served straight from the result store."""
-        return sum(1 for r in self.results if r.from_store)
+        return sum(1 for r in self.results if r.kind == "hit")
 
     @property
     def executed(self) -> int:
         """Jobs this run actually measured (compiled and, for
         simulate=True specs, simulated)."""
-        return sum(1 for r in self.results
-                   if r.ok and not r.from_store and not r.shared)
+        return sum(1 for r in self.results if r.kind == "executed")
 
     @property
     def hit_rate(self) -> float:
@@ -358,27 +377,11 @@ class FarmReport:
                 f"{self.sim_wall_s:.3f} s of interpreter time "
                 f"({rate / 1e6:.2f} Mcycles/s)")
 
-    def by_key(self) -> dict[str, FarmJobResult]:
-        """One outcome per unique job key — the fan-back currency of
-        batch consumers (the async fleet scheduler resolves every
-        waiting fleet's future from this map).  Where a matrix named a
-        key more than once the leader slot (the one that executed or
-        hit the store) is kept over its ``shared`` followers."""
-        outcomes: dict[str, FarmJobResult] = {}
-        for result in self.results:
-            key = result.spec.key()
-            if key not in outcomes or (outcomes[key].shared
-                                       and not result.shared):
-                outcomes[key] = result
-        return outcomes
-
     def require_ok(self) -> None:
         if self.failures:
-            lines = [f"{f.spec.display_name}: {f.error}"
-                     for f in self.failures]
-            raise EricError(
-                f"{len(self.failures)} farm job(s) failed: "
-                + "; ".join(lines))
+            raise EricError(format_failures(
+                [(f.spec.display_name, f.error) for f in self.failures],
+                "farm job(s)"))
 
     def summary(self) -> str:
         sharding = f", shards={self.shards}" if self.shards else ""
@@ -462,23 +465,19 @@ class SimulationFarm:
             jobs once their shard store has merged).
         tracer: the :class:`~repro.obs.trace.Tracer` the farm emits
             through (a memory-only one if not given): every run is a
-            ``farm.sweep`` span, every outcome a ``farm.job`` event and
-            every completed shard a ``farm.shard`` event.  When it is
-            file-backed, each executed job is also a worker-side
-            ``farm.job`` span under the sweep, written by the worker
-            *subprocesses* themselves; a sharded run writes the sweep's
-            context into every shard.json and merges each worker's
-            shard-store trace file back next to the records.
-        metrics: feed the process-wide registry (``store.hits``,
-            ``farm.executed``, …).  Shard workers run with False: a
-            one-shard plan runs its worker farm in this process, which
-            would otherwise count every job twice.
+            ``farm.sweep`` span, every outcome a ``farm.job`` event
+            (with its ``kind``) and every completed shard a
+            ``farm.shard`` event.  When it is file-backed, each
+            executed job is also a worker-side ``farm.job`` span under
+            the sweep, written by the worker *subprocesses* themselves;
+            a sharded run writes the sweep's context into every
+            shard.json and merges each worker's shard-store trace file
+            back next to the records.
     """
 
     def __init__(self, store: ResultStore | None = None, jobs: int = 1,
                  shards: int = 0, shard_root: str | Path | None = None,
-                 progress=None, tracer: Tracer | None = None,
-                 metrics: bool = True) -> None:
+                 progress=None, tracer: Tracer | None = None) -> None:
         if jobs < 1:
             raise ConfigError("jobs must be at least 1")
         if shards < 0:
@@ -496,7 +495,6 @@ class SimulationFarm:
                                else store.root / "shards")
         self.progress = progress
         self.tracer = tracer if tracer is not None else Tracer()
-        self._metrics = metrics
         #: per-shard merge outcomes of the last sharded run (CLI
         #: reporting)
         self.last_merge: tuple[MergeStats, ...] = ()
@@ -624,21 +622,14 @@ class SimulationFarm:
 
     def _announce(self, done: int, total: int,
                   result: FarmJobResult) -> None:
-        if self._metrics:
-            if result.from_store:
-                METRICS.inc("store.hits")
-            elif result.shared:
-                METRICS.inc("farm.shared")
-            elif not result.ok:
-                METRICS.inc("farm.failed")
-            else:
-                METRICS.inc("farm.executed")
-                METRICS.observe("farm.job.wall_s", result.wall_s)
-        executed = "merged from shard" if self.shards else "executed"
+        kind = result.kind
+        detail = {"hit": "store hit", "failed": result.error}.get(kind, kind)
+        if kind == "executed" and self.shards:
+            detail = "merged from shard"
         self.tracer.event("farm.job", result.wall_s, ok=result.ok,
-                          detail=("store hit" if result.from_store
-                                  else result.error or executed),
-                          attrs={"program": result.spec.display_name})
+                          detail=detail,
+                          attrs={"program": result.spec.display_name,
+                                 "kind": kind})
         if self.progress is not None:
             try:
                 self.progress(done, total, result)

@@ -73,9 +73,7 @@ def run_shard(shard: ShardSpec, store_dir: str | Path, jobs: int = 1,
     ``trace`` wire context (the sharded farm's ``"trace"`` key in
     shard.json) the spans are also written to ``store_dir``'s own
     trace.jsonl — shipped/merged back alongside the results exactly
-    like the records themselves.  The farm runs with ``metrics=False``:
-    job counts belong to the sharded farm's process-wide registry, not
-    to each shard's.
+    like the records themselves.
     """
     parent = TraceContext.from_wire(trace) if trace else None
     tracer = Tracer(store_dir if parent is not None else None)
@@ -86,8 +84,7 @@ def run_shard(shard: ShardSpec, store_dir: str | Path, jobs: int = 1,
                                "shards": shard.count,
                                "jobs": len(shard.jobs)})
     farm = SimulationFarm(store=ResultStore(store_dir), jobs=jobs,
-                          progress=progress, tracer=tracer,
-                          metrics=False)
+                          progress=progress, tracer=tracer)
     try:
         report = farm.run(shard.jobs, force=force,
                           trace_parent=span.context)

@@ -16,9 +16,9 @@ Three cooperating layers:
   per-request waterfalls and critical paths.
 
 * :mod:`repro.obs.metrics` — a process-wide :class:`MetricsRegistry`
-  (counters, gauges, histograms with p50/p95/p99) fed by the existing
-  emit sites: scheduler coalesces, admission defer/reject, store hits
-  vs simulations, journal states.  ``eric
+  (counters, gauges, histograms with p50/p95/p99), a tracer sink the
+  daemon and ``--metrics`` attach: it counts store hits vs simulations,
+  scheduler coalesces, admissions and request outcomes.  ``eric
   metrics DIR`` renders a Prometheus-style text snapshot; the daemon
   poll loop dumps one periodically.
 

@@ -1,10 +1,10 @@
 """Process-wide metrics: counters, gauges, quantile histograms.
 
-One :data:`METRICS` registry per process, fed directly by the stack's
-hot paths (the scheduler's coalescer, the farm's result-collection
-loop, daemon admission) — instrumentation must never
-add a lock-ordering or failure dependency, so every operation is a
-single short critical section and never raises on bad input.
+One :data:`METRICS` registry per process, fed as a tracer sink by the
+code that dumps it (the daemon, ``eric sweep|serve --metrics``) —
+instrumentation must never add a lock-ordering or failure dependency,
+so every operation is a single short critical section and never raises
+on bad input.
 
 Snapshots persist as ``metrics.json`` next to the store or journal they
 describe (rewritten atomically by :func:`repro.jsonlog.atomic_rewrite`,
@@ -74,7 +74,7 @@ class _Histogram:
 
 class MetricsRegistry:
     """Thread-safe counters, gauges, and histograms, keyed by dotted
-    names (``store.hits``, ``telemetry.sink_errors``, …)."""
+    names (``store.hits``, …); an instance is also a tracer sink."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -98,6 +98,24 @@ class MetricsRegistry:
             if histogram is None:
                 histogram = self._histograms[name] = _Histogram()
             histogram.observe(value)
+
+    def __call__(self, record) -> None:
+        """The tracer-sink protocol: count one record."""
+        name, attrs = record.name, record.attrs
+        if name == "farm.job" and "kind" in attrs:
+            kind = attrs["kind"]
+            self.inc("store.hits" if kind == "hit" else f"farm.{kind}")
+            if kind == "executed":
+                self.observe("farm.job.wall_s", record.duration_s)
+        elif name == "scheduler.batch" and attrs.get("coalesced"):
+            self.inc("scheduler.coalesced", attrs["coalesced"])
+        elif name == "daemon.admit":
+            self.inc("admission.admitted")
+        elif name == "daemon.reject":
+            self.inc("admission.deferred" if record.ok
+                     else "admission.rejected")
+        elif name == "daemon.request" and "state" in attrs:
+            self.inc(f"daemon.requests_{attrs['state']}")
 
     # -- reads -------------------------------------------------------------
 
@@ -142,7 +160,7 @@ class MetricsRegistry:
         return render_snapshot(self.snapshot())
 
 
-#: The process-wide registry every emit site feeds.
+#: The process-wide registry; attach it to a tracer to feed it.
 METRICS = MetricsRegistry()
 
 

@@ -29,11 +29,12 @@ from the delivery pipeline.
 
 Observability rides the scheduler's tracer.  Each served request is
 a root ``daemon.request`` span (persisted when the tracer is
-file-backed; its detail names the request, its state and its counts).
-Every other stage is an event that reaches the tracer's sinks only:
+file-backed; its detail names the request, its state and its counts,
+its ``state`` attribute the final state).  Every other stage is an
+event that reaches only the tracer's sinks (``METRICS`` among them):
 ``daemon.admit``, ``daemon.resume``, ``daemon.reject`` (covers both
-deferrals and rejections), ``daemon.checkpoint``, and ``daemon.serve``
-(one per :meth:`ServeDaemon.run`).
+deferrals and rejections, which fail), ``daemon.checkpoint``, and
+``daemon.serve`` (one per :meth:`ServeDaemon.run`).
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ import time
 from dataclasses import dataclass
 
 from repro.errors import ConfigError, EricError
+from repro.farm.executor import format_failures
 from repro.farm.store import ResultStore
 from repro.obs.metrics import METRICS
 from repro.obs.trace import Tracer
@@ -57,14 +59,6 @@ def _priority_order(records) -> list[JournalRecord]:
     """Dispatch order: highest priority first, then oldest, then id."""
     return sorted(records, key=lambda r: (-r.priority, r.submitted_at,
                                           r.request_id))
-
-
-def _failure_summary(failures, limit: int = 3) -> str:
-    lines = [f"{f.spec.display_name}: {f.error}"
-             for f in failures[:limit]]
-    if len(failures) > limit:
-        lines.append(f"... and {len(failures) - limit} more")
-    return (f"{len(failures)} job(s) failed: " + "; ".join(lines))
 
 
 @dataclass(frozen=True)
@@ -120,8 +114,8 @@ class ServeDaemon:
             (None serves in-memory — journaled requests then resume
             from scratch, which tests use for speed).
         scheduler: an explicit scheduler (exclusive with ``store`` /
-            ``jobs`` / ``shards``); must expose ``measure``,
-            ``tracer``, ``batch_reports``, and ``aclose``.
+            ``jobs`` / ``shards``); must expose ``measure``, ``tracer``,
+            ``aclose`` and running totals ``executed``/``store_hits``.
         policy: admission policy (default :class:`AdmissionPolicy`).
         jobs / shards / shard_root: the built-in scheduler's
             :class:`~repro.farm.executor.SimulationFarm` knobs (as
@@ -138,9 +132,10 @@ class ServeDaemon:
             the stack; every served request becomes a **root**
             ``daemon.request`` span whose context flows down scheduler
             → farm → worker subprocesses (one connected trace per
-            request).  Its sinks see the ``daemon.*`` stages plus the
-            scheduler's own.  Exclusive with ``scheduler`` — an
-            explicit scheduler brings its own tracer.
+            request).  Its sinks, ``METRICS`` among them, see the
+            ``daemon.*`` stages plus the scheduler's own.  Exclusive
+            with ``scheduler`` — an explicit scheduler brings its own
+            tracer.
         metrics_interval: seconds between periodic
             :meth:`~repro.obs.metrics.MetricsRegistry.dump` snapshots
             into the journal directory (``metrics.json``); a final
@@ -172,6 +167,7 @@ class ServeDaemon:
             FleetScheduler(store=store, jobs=jobs, shards=shards,
                            shard_root=shard_root, tracer=tracer)
         self.tracer = self.scheduler.tracer
+        self.tracer.add_sink(METRICS)
         self.admission = AdmissionController(policy)
         self.max_active = max_active
         self.checkpoint_every = checkpoint_every
@@ -259,7 +255,8 @@ class ServeDaemon:
         self._counts = {}
         self.peak_pending_jobs = 0
         start = time.perf_counter()
-        batch_base = len(self.scheduler.batch_reports)
+        executed_before = self.scheduler.executed
+        hits_before = self.scheduler.store_hits
         self.journal.reload()
         self._replay()
         stop_waiter = loop.create_task(self._stop.wait())
@@ -289,7 +286,6 @@ class ServeDaemon:
             await self.scheduler.aclose()
             self._dump_metrics()
         wall_s = time.perf_counter() - start
-        batches = self.scheduler.batch_reports[batch_base:]
         report = DaemonReport(
             resumed=self._counts.get("resumed", 0),
             admitted=self._counts.get("admitted", 0),
@@ -298,8 +294,8 @@ class ServeDaemon:
             completed=self._counts.get("completed", 0),
             failed=self._counts.get("failed", 0),
             checkpointed=self._counts.get("checkpointed", 0),
-            executed=sum(b.executed for b in batches),
-            store_hits=sum(b.hits for b in batches),
+            executed=self.scheduler.executed - executed_before,
+            store_hits=self.scheduler.store_hits - hits_before,
             peak_pending_jobs=self.peak_pending_jobs,
             wall_s=wall_s, stopped=stopped)
         self.tracer.event("daemon.serve", wall_s, ok=report.all_ok,
@@ -357,7 +353,6 @@ class ServeDaemon:
             if decision.admitted:
                 self.journal.transition(record.request_id, "admitted")
                 self._count("admitted")
-                METRICS.inc("admission.admitted")
                 pending += max(record.total_jobs - record.done_jobs, 0)
                 tenant_live[record.tenant] = \
                     tenant_live.get(record.tenant, 0) + 1
@@ -374,7 +369,6 @@ class ServeDaemon:
                     record.request_id, "cancelled",
                     error=f"rejected: {decision.describe()}")
                 self._count("rejected")
-                METRICS.inc("admission.rejected")
                 self.tracer.event("daemon.reject", ok=False,
                                   detail=(f"request {record.request_id} "
                                           f"{decision.describe()}"),
@@ -382,7 +376,6 @@ class ServeDaemon:
             else:  # deferred: stays submitted, reconsidered next pass
                 if record.request_id not in self._deferred_seen:
                     self._deferred_seen.add(record.request_id)
-                    METRICS.inc("admission.deferred")
                     self.tracer.event(
                         "daemon.reject",
                         detail=(f"request {record.request_id} "
@@ -457,24 +450,25 @@ class ServeDaemon:
                          error=f"{type(exc).__name__}: {exc}",
                          start=start, span=span)
             return
-        failures = tuple(r for r in results if not r.ok)
-        self._finish(request_id, results,
-                     error=_failure_summary(failures) if failures
-                     else None, start=start, span=span)
+        self._finish(request_id, results, start=start, span=span)
 
-    def _finish(self, request_id: str, results, *, error: str | None,
-                start: float, span) -> None:
+    def _finish(self, request_id: str, results, *, start: float, span,
+                error: str | None = None) -> None:
+        failures = [(r.spec.display_name, r.error)
+                    for r in results if not r.ok]
+        if error is None and failures:
+            error = format_failures(failures, limit=3)
         summary = {
             "jobs": len(results),
-            "store_hits": sum(1 for r in results if r.from_store),
-            "failures": sum(1 for r in results if not r.ok),
+            "store_hits": sum(1 for r in results if r.kind == "hit"),
+            "failures": len(failures),
             "wall_s": time.perf_counter() - start,
         }
         state = "failed" if error is not None else "done"
         self.journal.transition(request_id, state, error=error,
                                 result=summary, done_jobs=len(results))
         self._count("failed" if error is not None else "completed")
-        METRICS.inc(f"daemon.requests_{state}")
+        span.attrs["state"] = state
         span.finish(ok=error is None,
                     detail=(f"request {request_id} {state}: "
                             f"{summary['jobs']} job(s), "

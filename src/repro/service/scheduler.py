@@ -28,14 +28,14 @@ from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from repro.errors import ConfigError, EricError
-from repro.farm.executor import FarmJobResult, FarmReport, SimulationFarm
+from repro.farm.executor import (FarmJobResult, SimulationFarm,
+                                 format_failures)
 from repro.farm.spec import JobMatrix, JobSpec
 from repro.farm.store import ResultStore
-from repro.obs.metrics import METRICS
 from repro.obs.trace import TraceContext, Tracer
 from repro.statics.fingerprint import model_fingerprint
 
@@ -134,7 +134,7 @@ class FleetServiceReport:
 
     @property
     def store_hits(self) -> int:
-        return sum(1 for r in self.results if r.from_store)
+        return sum(1 for r in self.results if r.kind == "hit")
 
     @property
     def ok(self) -> bool:
@@ -142,11 +142,8 @@ class FleetServiceReport:
 
     def require_ok(self) -> None:
         if self.failures:
-            lines = [f"{f.spec.display_name}: {f.error}"
-                     for f in self.failures]
-            raise EricError(f"fleet {self.name!r}: "
-                            f"{len(self.failures)} job(s) failed: "
-                            + "; ".join(lines))
+            raise EricError(f"fleet {self.name!r}: " + format_failures(
+                [(f.spec.display_name, f.error) for f in self.failures]))
 
     def summary(self) -> str:
         return (f"fleet {self.name!r}: {len(self.results)} job(s), "
@@ -160,8 +157,8 @@ class SchedulerReport:
     """Aggregate of one :meth:`FleetScheduler.serve` call."""
 
     fleets: tuple[FleetServiceReport, ...]
-    #: one :class:`FarmReport` per batch the shared queue executed
-    batches: tuple[FarmReport, ...]
+    #: farm batches the shared queue ran while this serve was in flight
+    batch_count: int
     wall_s: float
     store_path: str | None
 
@@ -170,39 +167,25 @@ class SchedulerReport:
         """Job requests across all fleets (with duplicates)."""
         return sum(len(fleet.results) for fleet in self.fleets)
 
+    def _keys(self, kind: str | None = None) -> set:
+        return {r.spec.key() for fleet in self.fleets
+                for r in fleet.results if kind in (None, r.kind)}
+
     @property
     def unique_jobs(self) -> int:
-        return len(self._own_keys())
-
-    def _own_keys(self) -> set:
-        return {r.spec.key() for fleet in self.fleets
-                for r in fleet.results}
-
-    def _batch_keys(self, predicate) -> set:
-        """Keys of *this serve's* jobs whose batch outcome matches
-        ``predicate``.  Batches are shared scheduler state: when two
-        concurrent ``serve()`` calls ride the same batch, each report
-        counts only its own keys — never the co-tenant's work."""
-        own = self._own_keys()
-        matched = set()
-        for batch in self.batches:
-            for result in batch.results:
-                key = result.spec.key()
-                if key in own and predicate(result):
-                    matched.add(key)
-        return matched
+        return len(self._keys())
 
     @property
     def executed(self) -> int:
-        """Unique jobs of this serve the farm actually simulated — the
-        number the dedup guarantee bounds by :attr:`unique_jobs` no
-        matter how many fleets (or concurrent serves) overlap."""
-        return len(self._batch_keys(
-            lambda r: r.ok and not r.from_store and not r.shared))
+        """Unique jobs of this serve's own fleets the farm actually
+        simulated — the number the dedup guarantee bounds by
+        :attr:`unique_jobs` no matter how many fleets (or concurrent
+        serves) overlap."""
+        return len(self._keys("executed"))
 
     @property
     def store_hits(self) -> int:
-        return len(self._batch_keys(lambda r: r.from_store))
+        return len(self._keys("hit"))
 
     @property
     def failures(self) -> tuple[tuple[str, FarmJobResult], ...]:
@@ -215,17 +198,16 @@ class SchedulerReport:
 
     def require_ok(self) -> None:
         if self.failures:
-            lines = [f"{name}/{r.spec.display_name}: {r.error}"
-                     for name, r in self.failures]
-            raise EricError(f"{len(self.failures)} scheduled job(s) "
-                            f"failed: " + "; ".join(lines))
+            raise EricError(format_failures(
+                [(f"{name}/{r.spec.display_name}", r.error)
+                 for name, r in self.failures], "scheduled job(s)"))
 
     def summary(self) -> str:
         return (f"scheduler: {len(self.fleets)} fleet(s), "
                 f"{self.requested} job request(s) -> "
                 f"{self.unique_jobs} unique, {self.executed} executed, "
                 f"{self.store_hits} store hit(s) over "
-                f"{len(self.batches)} batch(es) in "
+                f"{self.batch_count} batch(es) in "
                 f"{self.wall_s * 1e3:.1f} ms")
 
 
@@ -244,8 +226,9 @@ class FleetScheduler:
             ``scheduler.fleet`` span and each executed batch a
             ``scheduler.batch`` span parented under the first
             requester's context, with the farm sweep (and its jobs,
-            across process boundaries) beneath it; its sinks see those
-            spans, the ``scheduler.fleet.begin`` and
+            across process boundaries) beneath it (its ``coalesced``
+            counts requests that attached to its jobs); its sinks see
+            those spans, the ``scheduler.fleet.begin`` and
             ``scheduler.serve`` events, and the farm's own stages.
 
     The dedup guarantee does **not** depend on batching luck: a job key
@@ -267,11 +250,13 @@ class FleetScheduler:
                                    shard_root=shard_root,
                                    tracer=self.tracer)
         self.store = store
-        #: every batch the shared queue has executed (all serves)
-        self.batch_reports: list[FarmReport] = []
-        #: resolved outcomes by job key when there is no store — the
-        #: in-memory stand-in that keeps the exactly-once guarantee
-        #: for keys whose batch already came and went
+        #: running totals over every batch run (all serves)
+        self.batches = 0
+        self.executed = 0
+        self.store_hits = 0
+        #: resolved outcomes by job key when there is no store, marked
+        #: shared — the in-memory stand-in that keeps the exactly-once
+        #: guarantee for keys whose batch already came and went
         self._done: dict[str, FarmJobResult] = {}
         # per-event-loop state, (re)created by _ensure_started.
         # In-flight work is keyed by (job key, forced): a forced
@@ -285,6 +270,8 @@ class FleetScheduler:
         self._pending: list[tuple[tuple[str, bool], JobSpec,
                                   TraceContext | None]] = []
         self._inflight: dict[tuple[str, bool], asyncio.Future] = {}
+        #: requests that attached to each in-flight job's future
+        self._coalesced: dict[tuple[str, bool], int] = {}
         # every job key embeds the model fingerprint: compute it now,
         # not inside whichever fleet asks for a key first
         model_fingerprint()
@@ -302,6 +289,7 @@ class FleetScheduler:
         self._wakeup = asyncio.Event()
         self._pending = []
         self._inflight = {}
+        self._coalesced = {}
         self._batcher = loop.create_task(self._batch_loop())
 
     async def measure(self, specs: Sequence[JobSpec],
@@ -347,7 +335,8 @@ class FleetScheduler:
                 self._pending.append((flight, spec, trace_parent))
                 queued = True
             else:
-                METRICS.inc("scheduler.coalesced")
+                self._coalesced[flight] = \
+                    self._coalesced.get(flight, 0) + 1
             slots.append(future)
         if queued:
             self._wakeup.set()
@@ -391,26 +380,32 @@ class FleetScheduler:
         span = self.tracer.start("scheduler.batch", parent=parent,
                                  attrs={"jobs": len(batch),
                                         "forced": force})
+        error = None
         try:
             report = await loop.run_in_executor(
                 None, self.farm.run, specs, force, span.context)
         except Exception as exc:  # farm/store failure: fail the batch,
-            error = EricError(                # never the batcher itself
+            error = EricError(    # never the batcher itself
                 f"farm batch of {len(batch)} job(s) failed: "
                 f"{type(exc).__name__}: {exc}")
+        # nothing attaches once the farm has returned: from here to the
+        # futures' fan-back the batcher never yields
+        span.attrs["coalesced"] = sum(self._coalesced.pop(flight, 0)
+                                      for flight, _, _ in batch)
+        if error is not None:
             span.finish(ok=False, detail=str(error))
-            for flight, _, _ in batch:
-                future = self._inflight.pop(flight, None)
-                if future is not None and not future.done():
-                    future.set_exception(error)
-            return
-        self.batch_reports.append(report)
-        outcomes = report.by_key()
-        span.finish(ok=not report.failures,
-                    detail=(f"{len(batch)} unique job(s): {report.hits} "
-                            f"hit(s), {report.executed} executed, "
-                            f"{len(report.failures)} failed"
-                            + (" [forced]" if force else "")))
+            outcomes = {}
+        else:
+            self.batches += 1
+            self.executed += report.executed
+            self.store_hits += report.hits
+            # a batch's keys are unique, so no slot is shared
+            outcomes = {r.spec.key(): r for r in report.results}
+            span.finish(ok=not report.failures,
+                        detail=(f"{len(batch)} unique job(s): "
+                                f"{report.hits} hit(s), {report.executed} "
+                                f"executed, {len(report.failures)} failed"
+                                + (" [forced]" if force else "")))
         for flight, spec, _ in batch:
             key = flight[0]
             future = self._inflight.pop(flight, None)
@@ -418,12 +413,13 @@ class FleetScheduler:
             if outcome is not None and outcome.ok and self.store is None:
                 # ok outcomes only: a failed job must retry on the next
                 # request, exactly as the store-backed path does (failed
-                # jobs are never persisted)
-                self._done[key] = outcome
+                # jobs are never persisted); later requests share it
+                self._done[key] = replace(outcome, shared=True,
+                                          wall_s=0.0)
             if future is None or future.done():
                 continue
             if outcome is None:
-                future.set_exception(EricError(
+                future.set_exception(error or EricError(
                     f"farm batch returned no outcome for "
                     f"{spec.display_name!r} (key {key[:12]})"))
             else:
@@ -465,15 +461,15 @@ class FleetScheduler:
                     force: bool = False) -> SchedulerReport:
         """Deploy every fleet concurrently; aggregate one report.
 
-        The report's ``batches`` cover exactly this call, so
+        The report counts these fleets' outcomes alone, so
         ``report.executed`` vs ``report.unique_jobs`` states the dedup
-        guarantee for these fleets alone even when the scheduler is
-        reused.
+        guarantee for them even when the scheduler is reused or serves
+        concurrently.
         """
         requests = tuple(requests)
         if not requests:
             raise ConfigError("serve needs at least one fleet request")
-        first_batch = len(self.batch_reports)
+        first_batch = self.batches
         start = time.perf_counter()
         fleets = await asyncio.gather(*(
             self.deploy_fleet(request, force=force)
@@ -481,7 +477,7 @@ class FleetScheduler:
         wall_s = time.perf_counter() - start
         report = SchedulerReport(
             fleets=tuple(fleets),
-            batches=tuple(self.batch_reports[first_batch:]),
+            batch_count=self.batches - first_batch,
             wall_s=wall_s,
             store_path=(str(self.store.path) if self.store is not None
                         else None))

@@ -120,6 +120,7 @@ class TestMetricsFromRealRuns:
     def test_warm_rerun_counts_every_job_as_store_hit(self, tmp_path):
         store = ResultStore(tmp_path)
         farm = SimulationFarm(store)
+        farm.tracer.add_sink(METRICS)
         farm.run(MATRIX).require_ok()
         before = METRICS.counter("store.hits")
         report = farm.run(MATRIX)
@@ -129,9 +130,10 @@ class TestMetricsFromRealRuns:
 
     def test_one_shard_run_counts_its_job_once(self, tmp_path):
         """A one-key matrix plans one shard, whose worker farm runs in
-        this process: it must run with metrics off, or the job would
-        count twice."""
+        this process under a tracer of its own, which the metrics sink
+        never sees, so the job counts once."""
         farm = SimulationFarm(ResultStore(tmp_path), shards=2)
+        farm.tracer.add_sink(METRICS)
         before = METRICS.counter("farm.executed")
         report = farm.run([JobSpec(source=HELLO, name="hello",
                                    simulate=False)])
@@ -143,10 +145,11 @@ class TestMetricsFromRealRuns:
     def test_sharded_rerun_counts_hits_at_the_coordinator(self, tmp_path):
         store = ResultStore(tmp_path)
         farm = SimulationFarm(store, shards=2)
+        farm.tracer.add_sink(METRICS)
         farm.run(MATRIX).require_ok()
         before = METRICS.counter("store.hits")
         report = farm.run(MATRIX)
-        # shard farms run with metrics off; only the sharded farm's
-        # own announcement counts, so no double counting
+        # shard farms' tracers carry no metrics sink; only the sharded
+        # farm's own announcement counts, so no double counting
         assert METRICS.counter("store.hits") - before \
             == report.hits == 2

@@ -1,17 +1,18 @@
 """ServeDaemon: admission, priorities, checkpoints, crash resume."""
 
 import asyncio
-from dataclasses import dataclass
+import gc
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.farm import ResultStore
+from repro.farm import FarmJobResult, FarmReport, ResultStore
 from repro.service.daemon import (AdmissionController, AdmissionPolicy,
                                   JournalStore, ServeDaemon,
                                   submit_fleets)
 from repro.obs.sinks import RecordingTelemetry
 from repro.obs.trace import Tracer
+from repro.service.scheduler import FleetScheduler
 
 PROBE = "int main() { return 0; }\n"
 
@@ -22,26 +23,14 @@ def fleet(name: str, seeds) -> dict:
             "device_seeds": list(seeds)}
 
 
-@dataclass(frozen=True)
-class FakeResult:
-    spec: object
-    ok: bool = True
-    from_store: bool = False
-    error: str | None = None
-
-
-@dataclass(frozen=True)
-class FakeBatch:
-    executed: int
-    hits: int = 0
-
-
 class FakeScheduler:
-    """Stands in for FleetScheduler: instant, order-recording."""
+    """Stands in for FleetScheduler: instant, order-recording; every
+    job it measures counts as executed."""
 
     def __init__(self, fail_names=(), hook=None):
         self.tracer = Tracer()
-        self.batch_reports = []
+        self.executed = 0
+        self.store_hits = 0
         self.served = []  # display_name per job, in measure order
         self.fail_names = set(fail_names)
         self.hook = hook  # async callback before each measure returns
@@ -51,10 +40,11 @@ class FakeScheduler:
         for spec in specs:
             self.served.append(spec.display_name)
             failed = spec.display_name in self.fail_names
-            results.append(FakeResult(
-                spec=spec, ok=not failed,
-                error="boom" if failed else None))
-        self.batch_reports.append(FakeBatch(executed=len(specs)))
+            results.append(FarmJobResult(
+                spec=spec, record=None,
+                error="boom" if failed else None, from_store=False,
+                wall_s=0.0))
+        self.executed += len(specs)
         if self.hook is not None:
             await self.hook(specs)
         return results
@@ -251,6 +241,46 @@ class TestServeDaemon:
         report = run_once(daemon)
         assert report.stopped and report.completed == 0
         assert journal.records()[0].state == "submitted"
+
+
+class InstantFarm:
+    """Stands in for a real scheduler's farm: every job succeeds at
+    once."""
+
+    def run(self, specs, force=False, trace_parent=None):
+        return FarmReport(
+            results=tuple(FarmJobResult(spec=spec, record=None,
+                                        error=None, from_store=False,
+                                        wall_s=0.0) for spec in specs),
+            wall_s=0.0, jobs=1, store_path=None)
+
+
+def live_farm_reports() -> int:
+    gc.collect()
+    return sum(1 for obj in gc.get_objects()
+               if isinstance(obj, FarmReport))
+
+
+class TestServeDaemonWithRealScheduler:
+    def test_serving_keeps_no_report_per_batch(self, tmp_path):
+        """A long-running daemon holds no farm report per batch it
+        served: after 10 requests and after 50, as many are alive."""
+        scheduler = FleetScheduler()
+        scheduler.farm = InstantFarm()
+        journal = JournalStore(tmp_path)
+        daemon = ServeDaemon(journal, scheduler=scheduler)
+
+        def serve(first: int, count: int) -> None:
+            submit_fleets(journal, {"fleets": [
+                fleet(f"f{seed}", [seed])
+                for seed in range(first, first + count)]})
+            report = run_once(daemon)
+            assert report.completed == report.executed == count
+
+        serve(0, 10)
+        baseline = live_farm_reports()
+        serve(10, 40)
+        assert live_farm_reports() == baseline
 
 
 class TestServeDaemonWithRealFarm:

@@ -31,9 +31,14 @@ class ExplodingFarm:
 
 
 class InstantFarm:
-    """Stands in for the farm: every job succeeds at once."""
+    """Stands in for the farm: every job succeeds at once.  ``batches``
+    keeps the specs of every batch it ran."""
+
+    def __init__(self):
+        self.batches = []
 
     def run(self, specs, force=False, trace_parent=None):
+        self.batches.append(specs)
         return FarmReport(
             results=tuple(FarmJobResult(spec=spec, record=None,
                                         error=None, from_store=False,
@@ -111,8 +116,7 @@ class TestFleetScheduler:
         assert cold.requested == 4
         assert cold.unique_jobs == 3
         assert cold.executed == 3
-        assert sum(batch.executed
-                   for batch in scheduler.batch_reports) == 3
+        assert scheduler.executed == 3
         assert len(store) == 3
 
         warm = FleetScheduler(store=ResultStore(tmp_path),
@@ -143,9 +147,8 @@ class TestFleetScheduler:
         fleet1, fleet2 = asyncio.run(go())
         fleet1.require_ok()
         fleet2.require_ok()
-        executed = sum(batch.executed
-                       for batch in scheduler.batch_reports)
-        hits = sum(batch.hits for batch in scheduler.batch_reports)
+        executed = scheduler.executed
+        hits = scheduler.store_hits
         # 3 unique keys total: every one simulated exactly once, the
         # overlap served from the in-flight future or the store
         assert executed == 3
@@ -322,7 +325,7 @@ class TestFleetScheduler:
             assert report.executed <= report.unique_jobs, \
                 report.summary()
         # the actual work was deduped: 2 unique keys, 2 simulations
-        assert sum(b.executed for b in scheduler.batch_reports) == 2
+        assert scheduler.executed == 2
 
     def test_storeless_memo_does_not_cache_failures(self):
         """Without a store, a failed job must retry on the next request
@@ -381,15 +384,15 @@ class TestFleetScheduler:
         """Fleets whose jobs queue in the same event-loop tick share one
         drain, so one serve() of several fleets is one farm batch."""
         scheduler = FleetScheduler()
-        scheduler.farm = InstantFarm()
+        farm = scheduler.farm = InstantFarm()
         report = scheduler.run([
             FleetRequest.from_spec(probe_fleet("quick", [61])),
             FleetRequest.from_spec(probe_fleet(
                 "other", [62], source="int main() { return 1; }\n")),
         ])
         report.require_ok()
-        assert len(scheduler.batch_reports) == 1
-        assert len(scheduler.batch_reports[0].results) == 2
+        assert len(farm.batches) == 1
+        assert len(farm.batches[0]) == 2
 
     def test_program_that_does_not_compile_fails_only_its_job(
             self, tmp_path):
@@ -433,7 +436,7 @@ class TestFleetScheduler:
         # re-measured (it must not be served the stale record)
         assert plain.ok and plain.from_store
         assert forced.ok and not forced.from_store and not forced.shared
-        executed = sum(b.executed for b in scheduler.batch_reports)
+        executed = scheduler.executed
         assert executed == 2  # one cold measure + one forced re-measure
 
     def test_telemetry_spans(self, tmp_path):

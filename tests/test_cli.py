@@ -335,6 +335,22 @@ class TestSweepCommand:
         assert "[farm.job] hello" in out
         assert "[farm.job] answer" in out
 
+    def test_sweep_narrates_a_shared_slot_as_shared(self, tmp_path,
+                                                    capsys):
+        """One source named twice is measured once: the second name's
+        line says its slot shared that measurement."""
+        spec = tmp_path / "twice.json"
+        spec.write_text(json.dumps({
+            "programs": [{"name": "a", "source": SOURCE},
+                         {"name": "b", "source": SOURCE}],
+            "simulate": False}))
+        assert main(["sweep", str(spec), "--no-store"]) == 0
+        lines = [line.rsplit(" (", 1)[0]
+                 for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("  [farm.job]")]
+        assert lines == ["  [farm.job] a: executed",
+                         "  [farm.job] b: shared"]
+
     def test_sweep_reports_failures(self, tmp_path, capsys):
         spec = tmp_path / "bad.json"
         spec.write_text(json.dumps({
